@@ -43,6 +43,6 @@ print(f"table moments: mean = {mean:+.2e}, variance = {var:.6f}")
 print()
 
 # truncation-level robustness; every pair of levels compared sup-norm
-rob = m_robustness(cfg, (2, 5, 10, 20))
+rob, _ = m_robustness(cfg, (2, 5, 10, 20))
 print(f"sup CDF spread across M in (2, 5, 10, 20): {rob:.2e}")
 print("anything near 1e-3 or below means the split point does not matter")

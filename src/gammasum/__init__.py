@@ -50,7 +50,6 @@ _EXPORTS = {
     "re_log_cf": "levy",
     "HeadCF": "finite_sum",
     "make_head_cf": "finite_sum",
-    "head_cf": "finite_sum",
     "DistributionTable": "finite_sum",
     "default_grid": "finite_sum",
     "invert_to_table": "finite_sum",

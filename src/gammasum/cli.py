@@ -9,7 +9,7 @@ library version, and warnings; re-running with the same configuration
 reproduces the artifact bit for bit.
 
 Exit codes: 0 on success, 2 for usage errors and bad inputs, 3 when a
-computation fails its internal accuracy checks.
+computation fails its accuracy checks, overflows, or yields a NaN or inf.
 
 GAMMASUM_MAX_THREADS caps the BLAS/OpenMP thread pools.  It must act
 before the numeric libraries initialize, which is why this module sets
@@ -32,16 +32,11 @@ import numpy as np
 
 from .cumulants import be_condition_ratio, berry_esseen_bound, cumulants, sigma_M
 from .edgeworth import build_expansion, edgeworth_cdf, edgeworth_pdf
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, SpecFormatError
 from .finite_sum import DistributionTable, invert_to_table, make_head_cf
 from .mc_oracle import SampleBatch, ks_distance, sample_z
 from .pipeline import PipelineConfig, m_robustness, z_cdf
-from .weights import (
-    ExplicitWeights,
-    GammaSumSpec,
-    PowerLawWeights,
-    make_power_law_normalized,
-)
+from .weights import make_power_law_normalized, spec_from_dict, spec_to_dict
 
 _REFERENCE_C = 0.4375
 _REFERENCE_C_TOL = 5e-5
@@ -56,67 +51,13 @@ def _version():
         return "0.0.0"
 
 
-def _require_number(doc, key):
-    v = doc.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise DomainError(f"spec field {key!r} must be a number, got {v!r}")
-    return float(v)
-
-
 def _load_spec(path):
-    try:
-        with open(path) as fh:
+    with open(path) as fh:
+        try:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"malformed spec JSON in {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError("spec JSON must be an object")
-    extra = set(doc) - {"r", "weights", "normalized"}
-    if extra:
-        raise DomainError(f"unrecognized spec fields: {sorted(extra)}")
-    if "r" not in doc or "weights" not in doc:
-        raise DomainError('spec JSON needs "r" and "weights"')
-    wdoc = doc["weights"]
-    if not isinstance(wdoc, dict) or "kind" not in wdoc:
-        raise DomainError('spec "weights" must be an object with a "kind"')
-    kind = wdoc["kind"]
-    if kind == "power_law":
-        if set(wdoc) != {"kind", "gamma", "scale"}:
-            raise DomainError('power_law weights need exactly "gamma" and "scale"')
-        weights = PowerLawWeights(
-            gamma=_require_number(wdoc, "gamma"), scale=_require_number(wdoc, "scale")
-        )
-    elif kind == "explicit":
-        if set(wdoc) != {"kind", "values"} or not isinstance(wdoc["values"], list):
-            raise DomainError('explicit weights need exactly a "values" list')
-        if not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in wdoc["values"]
-        ):
-            raise DomainError("explicit weight values must be numbers")
-        weights = ExplicitWeights(tuple(float(v) for v in wdoc["values"]))
-    else:
-        raise DomainError(f"unknown weight kind {kind!r}")
-    r = _require_number(doc, "r")
-    if "normalized" in doc:
-        if not isinstance(doc["normalized"], bool):
-            raise DomainError('spec field "normalized" must be a boolean')
-        normalized = doc["normalized"]
-    else:
-        normalized = abs(weights.tail_power_sum(1, 2) / r - 1.0) <= 1e-12
-    return GammaSumSpec(r=r, weights=weights, normalized=normalized)
-
-
-def _spec_to_json(spec):
-    if isinstance(spec.weights, PowerLawWeights):
-        wdoc = {
-            "kind": "power_law",
-            "gamma": spec.weights.gamma,
-            "scale": spec.weights.scale,
-        }
-    else:
-        wdoc = {"kind": "explicit", "values": list(spec.weights.values)}
-    return {"r": spec.r, "weights": wdoc, "normalized": spec.normalized}
+        except ValueError as exc:
+            raise SpecFormatError(f"malformed spec JSON in {path}: {exc}") from exc
+    return spec_from_dict(doc)
 
 
 def _parse_grid(text):
@@ -140,6 +81,20 @@ def _write_csv(path, cols):
     np.savetxt(path, data, delimiter=",", fmt="%.17g", header=header, comments="")
 
 
+def _json_text(doc):
+    """Indented strict JSON; a NaN or infinity in ``doc`` is a numerical failure."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"non-finite result {doc}") from exc
+
+
+def _write_json(path, doc):
+    text = _json_text(doc)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _write_manifest(out_path, command, argv, config, warnings=()):
     doc = {
         "command": command,
@@ -149,19 +104,15 @@ def _write_manifest(out_path, command, argv, config, warnings=()):
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "warnings": list(warnings),
     }
-    with open(f"{out_path}.manifest.json", "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(f"{out_path}.manifest.json", doc)
 
 
 def _emit_json(doc, out, command, argv, config, warnings=()):
-    text = json.dumps(doc, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write_json(out, doc)
         _write_manifest(out, command, argv, config, warnings)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(_json_text(doc))
 
 
 def _table_columns(tab):
@@ -172,19 +123,24 @@ def _table_columns(tab):
 
 
 def _read_table_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-    if header[:2] != ["x", "cdf"]:
-        raise DomainError(f"table {path} must start with columns x,cdf")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != len(header):
-        raise DomainError(f"table {path} has ragged columns")
-    pdf = data[:, header.index("pdf")] if "pdf" in header else None
-    return DistributionTable(grid=data[:, 0], cdf=data[:, 1], pdf=pdf)
+    """The table in a CSV file; DomainError for anything that is not a valid one."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        finite = np.all(np.isfinite(data))
+        if header[:2] != ["x", "cdf"] or data.shape[1] != len(header) or not finite:
+            raise DomainError("need finite x,cdf[,pdf] columns under a matching header")
+        pdf = data[:, header.index("pdf")] if "pdf" in header else None
+        return DistributionTable(grid=data[:, 0], cdf=data[:, 1], pdf=pdf)
+    except (ValueError, NumericalError) as exc:
+        raise DomainError(f"bad table file {path}: {exc}") from exc
 
 
 def _load_samples(path):
     values = np.fromfile(path, dtype="<f8")
+    if values.size * 8 != os.path.getsize(path) or not np.all(np.isfinite(values)):
+        raise DomainError(f"sample file {path} must hold finite little-endian float64s")
     return SampleBatch(
         values=values,
         seed=0,
@@ -204,7 +160,7 @@ def _cmd_cumulants(args, argv):
         "be_bound": berry_esseen_bound(spec, args.M),
         "be_ratio": be_condition_ratio(spec, args.M),
     }
-    config = {"spec": _spec_to_json(spec), "M": args.M, "K": args.K}
+    config = {"spec": spec_to_dict(spec), "M": args.M, "K": args.K}
     _emit_json(doc, args.out, "cumulants", argv, config)
 
 
@@ -213,7 +169,7 @@ def _cmd_edgeworth(args, argv):
     grid = _parse_grid(args.grid)
     ex = build_expansion(cumulants(spec, args.M, max(args.N, 3)), args.N)
     cols = [("x", grid), ("cdf", edgeworth_cdf(ex, grid)), ("pdf", edgeworth_pdf(ex, grid))]
-    config = {"spec": _spec_to_json(spec), "M": args.M, "N": args.N, "grid": args.grid}
+    config = {"spec": spec_to_dict(spec), "M": args.M, "N": args.N, "grid": args.grid}
     if args.out:
         _write_csv(args.out, cols)
         _write_manifest(args.out, "edgeworth", argv, config)
@@ -226,7 +182,7 @@ def _cmd_head(args, argv):
     grid = _parse_grid(args.grid)
     tab = invert_to_table(make_head_cf(spec, args.M), grid)
     _write_csv(args.out, _table_columns(tab))
-    config = {"spec": _spec_to_json(spec), "M": args.M, "grid": args.grid}
+    config = {"spec": spec_to_dict(spec), "M": args.M, "grid": args.grid}
     _write_manifest(args.out, "head", argv, config, tab.warnings)
 
 
@@ -239,16 +195,15 @@ def _cmd_zdist(args, argv):
         grid=_parse_grid(args.grid),
         quad_points=args.quad_points,
     )
-    tab = z_cdf(cfg)
-    _write_csv(args.out, _table_columns(tab))
-
-    robustness = None
+    robustness, tables = None, {}
     if args.robustness:
         try:
             ms = [int(tok) for tok in args.robustness.split(",")]
         except ValueError as exc:
             raise DomainError(f"--robustness must be comma-separated integers: {exc}")
-        robustness = m_robustness(cfg, ms)
+        robustness, tables = m_robustness(cfg, ms)
+    tab = tables.get(args.M) or z_cdf(cfg)
+    _write_csv(args.out, _table_columns(tab))
 
     ks = None
     if args.mc:
@@ -261,11 +216,9 @@ def _cmd_zdist(args, argv):
         "warnings": list(tab.warnings),
     }
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
-    with open(f"{base}.summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(f"{base}.summary.json", summary)
     config = {
-        "spec": _spec_to_json(spec),
+        "spec": spec_to_dict(spec),
         "M": args.M,
         "N": args.N,
         "grid": args.grid,
@@ -281,7 +234,7 @@ def _cmd_mc(args, argv):
     batch = sample_z(spec, args.mode, args.n, args.seed)
     batch.values.astype("<f8").tofile(args.out)
     config = {
-        "spec": _spec_to_json(spec),
+        "spec": spec_to_dict(spec),
         "mode": args.mode,
         "n": args.n,
         "seed": args.seed,
@@ -296,8 +249,7 @@ def _cmd_validate(args, argv):
     tab = _read_table_csv(args.table)
     batch = _load_samples(args.samples)
     ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
-    doc = {"ks": ks, "n_samples": batch.n_samples}
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    _emit_json({"ks": ks, "n_samples": batch.n_samples}, None, "validate", argv, {})
 
 
 def _cmd_repro(args, argv):
@@ -316,34 +268,24 @@ def _cmd_repro(args, argv):
     grid = _parse_grid(grid_text)
     ms = (2, 5, 10, 20)
     config = {
-        "spec": _spec_to_json(spec),
+        "spec": spec_to_dict(spec),
         "N": 5,
         "M_values": list(ms),
         "grid": grid_text,
     }
 
     spec_path = os.path.join(args.outdir, "spec.json")
-    with open(spec_path, "w") as fh:
-        json.dump(_spec_to_json(spec), fh, indent=2)
-        fh.write("\n")
+    _write_json(spec_path, spec_to_dict(spec))
     _write_manifest(spec_path, "repro-sec6", argv, config)
 
-    tables = {}
+    base = PipelineConfig(spec=spec, M=ms[0], N=5, grid=grid)
+    robustness, tables = m_robustness(base, ms)
     warnings = {}
-    for m in ms:
-        tab = z_cdf(PipelineConfig(spec=spec, M=m, N=5, grid=grid))
-        tables[m] = tab
+    for m, tab in tables.items():
         warnings[str(m)] = list(tab.warnings)
         path = os.path.join(args.outdir, f"z_M{m}.csv")
         _write_csv(path, _table_columns(tab))
         _write_manifest(path, "repro-sec6", argv, {**config, "M": m}, tab.warnings)
-
-    robustness = 0.0
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            robustness = max(
-                robustness, float(np.max(np.abs(tables[a].cdf - tables[b].cdf)))
-            )
 
     summary = {
         "C": c_value,
@@ -356,9 +298,7 @@ def _cmd_repro(args, argv):
         "warnings": warnings,
     }
     summary_path = os.path.join(args.outdir, "summary.json")
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     _write_manifest(summary_path, "repro-sec6", argv, config)
 
 
@@ -433,7 +373,7 @@ def dispatch(argv):
         return int(exc.code or 0)
     try:
         args.func(args, list(argv))
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (DomainError, OSError) as exc:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTailError, DomainError
+from .errors import DegenerateTailError, DomainError, NumericalError
 from .weights import GammaSumSpec, _check_m, tail_power_sum, tail_weight_sum
 
 __all__ = [
@@ -95,7 +95,10 @@ def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
     kappa = []
     for k in range(2, K + 1):
         sk = tail_power_sum(spec, m, k)
-        kappa.append(math.factorial(k - 1) * sk / (r ** (k - 1) * sig**k))
+        denom = r ** (k - 1) * sig**k
+        if denom == 0.0:
+            raise NumericalError(f"r^{k - 1} sigma_M^{k} underflows at M = {m}")
+        kappa.append(math.factorial(k - 1) * sk / denom)
     if abs(kappa[0] - 1.0) > 1e-10:
         raise DomainError(
             f"internal consistency failure: kappa_2 = {kappa[0]!r}, expected 1"

@@ -2,7 +2,8 @@
 
 DomainError signals invalid mathematical input (parameters outside the
 model's domain).  DegenerateTailError is the specific case of an exhausted
-weight sequence, where sigma_M = 0 and the normalized tail is undefined.
+weight sequence, where sigma_M = 0 and the normalized tail is undefined;
+SpecFormatError the case of a malformed spec document.
 NumericalError signals that a numerical routine could not reach its stated
 tolerance; it carries the achieved tolerance when known.
 """
@@ -22,7 +23,7 @@ class DegenerateTailError(DomainError):
     """Tail sum beyond the end of an explicit weight list: sigma_M = 0."""
 
 
-class SpecFormatError(GammaSumError, ValueError):
+class SpecFormatError(DomainError):
     """Malformed spec JSON input (the serialized model format)."""
 
 

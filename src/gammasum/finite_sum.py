@@ -43,10 +43,6 @@ _REPAIR_TOL = 1e-9
 _REFINE_TOL = 1e-8
 
 
-def _head_lambdas(spec, m):
-    return np.asarray(spec.weights.head(m), dtype=float)
-
-
 @dataclass(frozen=True)
 class HeadCF:
     """Closed-form CF factors of the head below truncation ``M``."""
@@ -56,29 +52,21 @@ class HeadCF:
     lam: tuple
 
     def cf(self, u):
-        return head_cf(self.spec, self.M, u)
+        """CF of the head at ``u`` (scalar or array); exactly 1 for M = 1.
+
+        Each factor uses the principal log of 1 - i u lambda / r, whose real
+        part is 1 > 0, so the per-factor argument stays in (-pi/2, pi/2) and
+        the product needs no winding correction.
+        """
+        ua = np.asarray(u, dtype=float)
+        lam = np.asarray(self.lam, dtype=float)
+        out = _positive_part_cf(lam, self.spec.r, ua) * np.exp(-1j * ua * lam.sum())
+        return complex(out) if ua.ndim == 0 else out
 
 
 def make_head_cf(spec, m):
     _check_m(m)
-    return HeadCF(spec=spec, M=int(m), lam=tuple(_head_lambdas(spec, m)))
-
-
-def head_cf(spec, m, u):
-    """CF of the head at ``u`` (scalar or array); exactly 1 for M = 1.
-
-    Each factor uses the principal log of 1 - i u lambda / r, whose real part
-    is 1 > 0, so the per-factor argument stays in (-pi/2, pi/2) and the
-    product needs no winding correction.
-    """
-    _check_m(m)
-    ua = np.asarray(u, dtype=float)
-    log_cf = np.zeros(ua.shape, dtype=complex)
-    r = spec.r
-    for lam in _head_lambdas(spec, m):
-        log_cf += -r * np.log(1.0 - 1j * ua * (lam / r)) - 1j * ua * lam
-    out = np.exp(log_cf)
-    return complex(out) if ua.ndim == 0 else out
+    return HeadCF(spec=spec, M=int(m), lam=tuple(spec.weights.head(m)))
 
 
 def _positive_part_cf(lam, r, u):
@@ -127,7 +115,7 @@ class DistributionTable:
 
 def default_grid(spec, m, points=2001):
     """Uniform grid over mean +/- 8 head standard deviations."""
-    lam = _head_lambdas(spec, m)
+    lam = spec.weights.head(m)
     if lam.size == 0:
         raise DomainError("empty head has no distribution grid")
     half = 8.0 * math.sqrt(float(np.sum(lam * lam)) / spec.r)
@@ -182,11 +170,6 @@ def _tail_integrals_batch(p0, count, q_vec, big_u):
     neg = q_vec < 0.0
     out[:, neg] = np.conj(out[:, neg])
     return out
-
-
-def _tail_integrals_ladder(p0, count, q, big_u):
-    """Scalar-q version of the tail integral ladder."""
-    return _tail_integrals_batch(p0, count, np.array([q]), big_u)[:, 0]
 
 
 def _tail_series(lam, r, big_u):

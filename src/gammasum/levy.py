@@ -32,7 +32,6 @@ from scipy.integrate import quad
 from .cumulants import sigma_M
 from .errors import DomainError, NumericalError
 from .weights import (
-    ExplicitWeights,
     GammaSumSpec,
     PowerLawWeights,
     _check_m,

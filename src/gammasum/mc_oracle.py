@@ -14,14 +14,13 @@ not portable across implementations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .cumulants import sigma_M
 from .errors import DomainError
-from .weights import GammaSumSpec, PowerLawWeights, _check_m
+from .weights import PowerLawWeights, _check_m
 
 _MODES = ("truncate", "normal_tail")
 
@@ -59,13 +58,6 @@ def _check_mode(mode):
 def _check_n_samples(n_samples):
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise DomainError(f"n_samples must be a positive integer, got {n_samples!r}")
-
-
-def _head_weights(spec, count):
-    if isinstance(spec.weights, PowerLawWeights):
-        n = np.arange(1, count + 1, dtype=float)
-        return spec.weights.scale * n ** -spec.weights.gamma
-    return np.asarray(spec.weights.values[:count], dtype=float)
 
 
 def _default_terms(spec, start):
@@ -112,6 +104,24 @@ def _draw_weighted_sums(lam, r, tail_sd, n_samples, seed):
     return out
 
 
+def _sample(spec, start, n_terms, mode, n_samples, seed):
+    """Batch of sum lambda_n (eta_n - 1) over ``n_terms`` indices from
+    ``start``; normal_tail mode adds a normal draw carrying the sd of the
+    neglected rest of the series, exact mode neglects nothing."""
+    _check_n_samples(n_samples)
+    lam = spec.weights.head(start + n_terms)[start - 1 :]
+    neglected = 0.0 if mode == "exact" else _neglected_sigma(spec, start + lam.size)
+    tail_sd = neglected if mode == "normal_tail" else 0.0
+    return SampleBatch(
+        values=_draw_weighted_sums(lam, spec.r, tail_sd, n_samples, seed),
+        seed=seed,
+        n_terms=int(lam.size),
+        n_samples=int(n_samples),
+        mode=mode,
+        neglected_sd=neglected,
+    )
+
+
 def sample_z(spec, mode, n_samples, seed, n_terms=None):
     """Sample the full sum Z, truncated at ``n_terms`` series terms.
 
@@ -119,65 +129,27 @@ def sample_z(spec, mode, n_samples, seed, n_terms=None):
     and is capped at 4096; the achieved value is recorded on the batch.
     """
     _check_mode(mode)
-    _check_n_samples(n_samples)
     if n_terms is None:
         n_terms = _default_terms(spec, 1)
-    lam = _head_weights(spec, n_terms)
-    neglected = _neglected_sigma(spec, n_terms + 1)
-    tail_sd = neglected if mode == "normal_tail" else 0.0
-    values = _draw_weighted_sums(lam, spec.r, tail_sd, n_samples, seed)
-    return SampleBatch(
-        values=values,
-        seed=seed,
-        n_terms=int(n_terms),
-        n_samples=int(n_samples),
-        mode=mode,
-        neglected_sd=neglected,
-    )
+    return _sample(spec, 1, n_terms, mode, n_samples, seed)
 
 
 def sample_head(spec, m, n_samples, seed):
     """Sample the exact finite head X_M (indices below ``m``); no truncation
     error."""
     _check_m(m)
-    _check_n_samples(n_samples)
-    lam = _head_weights(spec, m - 1)
-    values = _draw_weighted_sums(lam, spec.r, 0.0, n_samples, seed)
-    return SampleBatch(
-        values=values,
-        seed=seed,
-        n_terms=m - 1,
-        n_samples=int(n_samples),
-        mode="exact",
-        neglected_sd=0.0,
-    )
+    return _sample(spec, 1, m - 1, "exact", n_samples, seed)
 
 
 def sample_tail(spec, m, mode, n_samples, seed, n_terms=None):
     """Sample the normalized tail (sum from ``m`` on) / sigma_M."""
     _check_m(m)
     _check_mode(mode)
-    _check_n_samples(n_samples)
     sig = sigma_M(spec, m)
     if n_terms is None:
         n_terms = _default_terms(spec, m)
-    if isinstance(spec.weights, PowerLawWeights):
-        n = np.arange(m, m + n_terms, dtype=float)
-        lam = spec.weights.scale * n ** -spec.weights.gamma
-    else:
-        lam = np.asarray(spec.weights.values[m - 1 : m - 1 + n_terms], dtype=float)
-        n_terms = lam.size
-    neglected = _neglected_sigma(spec, m + n_terms)
-    tail_sd = neglected if mode == "normal_tail" else 0.0
-    values = _draw_weighted_sums(lam, spec.r, tail_sd, n_samples, seed) / sig
-    return SampleBatch(
-        values=values,
-        seed=seed,
-        n_terms=int(n_terms),
-        n_samples=int(n_samples),
-        mode=mode,
-        neglected_sd=neglected,
-    )
+    batch = _sample(spec, m, n_terms, mode, n_samples, seed)
+    return replace(batch, values=batch.values / sig)
 
 
 def ks_distance(batch, cdf):

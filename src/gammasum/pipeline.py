@@ -31,7 +31,8 @@ are properties of the expansion, not quadrature failures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -223,7 +224,9 @@ def z_cdf(cfg):
 
 
 def m_robustness(cfg_base, ms):
-    """Max pairwise sup-difference of F_Z across truncation levels ``ms``."""
+    """(spread, tables): the max pairwise sup-difference of F_Z across the
+    truncation levels ``ms``, and the table for each distinct level, keyed
+    by M in first-seen order."""
     ms = list(ms)
     if len(ms) < 2:
         raise DomainError("robustness needs at least two truncation levels")
@@ -232,11 +235,6 @@ def m_robustness(cfg_base, ms):
         m = _check_m(m)
         if m not in tables:
             tables[m] = z_cdf(replace(cfg_base, M=m))
-    worst = 0.0
-    uniq = sorted(tables)
-    for i, a in enumerate(uniq):
-        for b in uniq[i + 1 :]:
-            worst = max(
-                worst, float(np.max(np.abs(tables[a].cdf - tables[b].cdf)))
-            )
-    return worst
+    pairs = combinations(tables.values(), 2)
+    worst = max((float(np.max(np.abs(a.cdf - b.cdf))) for a, b in pairs), default=0.0)
+    return worst, tables

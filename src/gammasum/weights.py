@@ -26,7 +26,7 @@ enforces this in closed form via C = (zeta(2 gamma)/r)^{-1/2}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Union
 
 import numpy as np
@@ -46,26 +46,41 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# Euler-Maclaurin summation start.  With correction terms through B_8 the
-# remainder at N = 50 is below 1e-19 even for s near 1.
+# Euler-Maclaurin summation start, and the coefficient |B_10| / 10! of the
+# first correction term left out.
 _ZETA_CUTOFF = 50
+_LOG_B10_COEF = math.log(5.0 / 66.0 / 3628800.0)
+# the omitted term is kept below this fraction of the result, under half an
+# ulp, so the error is relative over all s > 1
+_ZETA_RTOL = 1e-17
 
 
 def _zeta_tail(s: float, start: int) -> float:
     """sum_{n >= start} n^(-s) for s > 1.
 
-    Direct summation up to N = max(start, 50), then the Euler-Maclaurin
-    expansion at N: integral + N^(-s)/2 + Bernoulli derivative corrections
-    B_2 through B_8.  The terms alternate and the remainder is smaller than
-    the first omitted (B_10) term, below 1e-19 for N >= 50 and s > 1.
+    Direct summation up to N, then the Euler-Maclaurin expansion at N:
+    integral + N^(-s)/2 + Bernoulli derivative corrections B_2 through B_8.
+    The terms alternate and the remainder is smaller than the first omitted
+    term, (|B_10| / 10!) s (s+1) ... (s+8) N^(-s-9).  That term grows with s
+    at fixed N, so N starts at max(start, 50) and doubles until the term is
+    below 1e-17 of the result.  That holds for every start once
+    N >= max(50, 17 s), so the extra direct summation is O(s) terms.
     """
     if not s > 1.0:
         raise DomainError(f"zeta tail requires s > 1, got s = {s}")
-    big = max(start, _ZETA_CUTOFF)
+    lo, big = start, max(start, _ZETA_CUTOFF)
     head = 0.0
-    if big > start:
-        n = np.arange(start, big, dtype=np.float64)
-        head = float(np.sum(n ** (-s)))
+    while True:
+        if big > lo:
+            n = np.arange(lo, big, dtype=np.float64)
+            head += float(np.sum(n ** (-s)))
+        if big ** (1.0 - s) == 0.0:
+            return head  # the tail underflows
+        log_rise = math.lgamma(s + 9.0) - math.lgamma(s)
+        omitted = math.exp(_LOG_B10_COEF + log_rise - (s + 9.0) * math.log(big))
+        if omitted <= _ZETA_RTOL * (head + big ** (1.0 - s) / (s - 1.0)):
+            break
+        lo, big = big, 2 * big
     tail = big ** (1.0 - s) / (s - 1.0) + 0.5 * big ** (-s)
     fac = s * big ** (-s - 1.0)
     tail += fac / 12.0
@@ -220,45 +235,54 @@ def tail_weight_sum(spec: GammaSumSpec, m: int) -> float:
 
 
 def spec_to_dict(spec: GammaSumSpec) -> dict:
-    """Serialize to the interchange form {"r": ..., "weights": {...}}."""
+    """Serialize to the interchange form {"r", "weights", "normalized"}."""
     w = spec.weights
     if isinstance(w, PowerLawWeights):
         wd = {"kind": "power_law", "gamma": w.gamma, "scale": w.scale}
     else:
         wd = {"kind": "explicit", "values": list(w.values)}
-    return {"r": spec.r, "weights": wd}
+    return {"r": spec.r, "weights": wd, "normalized": spec.normalized}
 
 
-def _require_number(d: dict, key: str) -> float:
-    v = d.get(key)
+def _require_number(v, name: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SpecFormatError(f"field {key!r} must be a number, got {v!r}")
+        raise SpecFormatError(f"{name} must be a number, got {v!r}")
     return float(v)
 
 
 def spec_from_dict(d: dict) -> GammaSumSpec:
-    """Parse the interchange form; the normalized flag is re-derived numerically."""
+    """Parse the interchange form; unknown fields are rejected.
+
+    An explicit boolean "normalized" is checked against the weights; when
+    absent, the flag is detected numerically at 1e-12.
+    """
     if not isinstance(d, dict) or "r" not in d or "weights" not in d:
         raise SpecFormatError("spec must be an object with 'r' and 'weights'")
-    r = _require_number(d, "r")
+    extra = set(d) - {"r", "weights", "normalized"}
+    if extra:
+        raise SpecFormatError(f"unrecognized spec fields: {sorted(extra)}")
     wd = d["weights"]
     if not isinstance(wd, dict):
         raise SpecFormatError("'weights' must be an object")
     kind = wd.get("kind")
     if kind == "power_law":
-        if "gamma" not in wd or "scale" not in wd:
-            raise SpecFormatError("power_law weights need 'gamma' and 'scale'")
+        if set(wd) != {"kind", "gamma", "scale"}:
+            raise SpecFormatError("power_law weights need exactly 'gamma' and 'scale'")
         weights = PowerLawWeights(
-            gamma=_require_number(wd, "gamma"), scale=_require_number(wd, "scale")
+            gamma=_require_number(wd["gamma"], "'gamma'"),
+            scale=_require_number(wd["scale"], "'scale'"),
         )
     elif kind == "explicit":
         vals = wd.get("values")
-        if not isinstance(vals, (list, tuple)) or not vals:
-            raise SpecFormatError("explicit weights need a non-empty 'values' list")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in vals):
-            raise SpecFormatError("explicit weight values must be numbers")
-        weights = ExplicitWeights(values=tuple(float(v) for v in vals))
+        if set(wd) != {"kind", "values"} or not isinstance(vals, (list, tuple)) or not vals:
+            raise SpecFormatError("explicit weights need exactly a non-empty 'values'")
+        weights = ExplicitWeights(tuple(_require_number(v, "a weight") for v in vals))
     else:
         raise SpecFormatError(f"unknown weights kind {kind!r}")
-    normalized = abs(weights.tail_power_sum(1, 2) / r - 1.0) <= _NORMALIZATION_RTOL
-    return GammaSumSpec(r=r, weights=weights, normalized=normalized)
+    spec = GammaSumSpec(r=_require_number(d["r"], "'r'"), weights=weights)
+    if "normalized" not in d:
+        s2 = weights.tail_power_sum(1, 2)
+        return replace(spec, normalized=abs(s2 / spec.r - 1.0) <= _NORMALIZATION_RTOL)
+    if not isinstance(d["normalized"], bool):
+        raise SpecFormatError("field 'normalized' must be a boolean")
+    return replace(spec, normalized=d["normalized"])

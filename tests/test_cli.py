@@ -5,20 +5,25 @@ one subprocess test checks the thread-cap environment hook, which must
 act before the numeric libraries load.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import ndtr
 
-from gammasum.cli import _parse_grid, dispatch
+from gammasum.cli import _load_spec, _parse_grid, dispatch
 from gammasum.cumulants import berry_esseen_bound, sigma_M
 from gammasum.edgeworth import build_expansion, edgeworth_cdf
 from gammasum.cumulants import cumulants as tail_cumulants
-from gammasum.errors import DomainError
+from gammasum.errors import DomainError, SpecFormatError
 from gammasum.finite_sum import invert_to_table, make_head_cf
 from gammasum.weights import make_power_law_normalized
 
@@ -40,6 +45,13 @@ def spec_path(tmp_path):
     p = tmp_path / "spec.json"
     p.write_text(json.dumps(SPEC_JSON))
     return str(p)
+
+
+def write_normal_table(path):
+    """A valid x,cdf table file: the standard normal CDF on [-8, 8]."""
+    x = np.linspace(-8.0, 8.0, 101)
+    np.savetxt(path, np.column_stack([x, ndtr(x)]), delimiter=",", fmt="%.17g",
+               header="x,cdf", comments="")
 
 
 def read_csv(path):
@@ -87,6 +99,30 @@ class TestDispatchBasics:
         p.write_text(json.dumps({"r": 0.5, "weights": {"kind": "mystery"}}))
         assert dispatch(["cumulants", "--spec", str(p), "--M", "1", "--K", "3"]) == 2
         capsys.readouterr()
+
+    def test_malformed_json_is_a_spec_format_error(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text('{"r": 0.5,')
+        with pytest.raises(SpecFormatError):
+            _load_spec(str(p))
+
+    @pytest.mark.parametrize(
+        "doc, k",
+        [
+            ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e308}}, 3),
+            ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e100}}, 4),
+            ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e200, 1]}}, 3),
+            ({"r": 1e-300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 3),
+            ({"r": 1e300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 3),
+        ],
+    )
+    def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, doc, k):
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        assert dispatch(["cumulants", "--spec", str(p), "--M", "1", "--K", str(k)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure:")
 
 
 class TestCumulantsCommand:
@@ -228,7 +264,26 @@ class TestMcAndValidate:
         )
         rc = dispatch(["validate", "--table", str(table), "--samples", str(samples)])
         capsys.readouterr()
-        assert rc == 3
+        assert rc == 2
+
+    def test_validate_rejects_non_numeric_cell(self, tmp_path, capsys):
+        table, samples = tmp_path / "z.csv", tmp_path / "s.bin"
+        write_normal_table(str(table))
+        table.write_text(table.read_text().replace("\n", "\nabc,0.5\n", 1))
+        np.zeros(10).astype("<f8").tofile(str(samples))
+        rc = dispatch(["validate", "--table", str(table), "--samples", str(samples)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err.startswith("error:")
+
+    def test_validate_rejects_non_finite_samples(self, tmp_path, capsys):
+        table, samples = tmp_path / "z.csv", tmp_path / "s.bin"
+        write_normal_table(str(table))
+        np.array([0.1, np.nan, -0.3]).astype("<f8").tofile(str(samples))
+        rc = dispatch(["validate", "--table", str(table), "--samples", str(samples)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestZdistCommand:
@@ -312,3 +367,108 @@ class TestThreadCapEnv:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["sigma_M"] == pytest.approx(1.0, abs=1e-12)
+
+
+# Spec documents for the fuzz test: a well-formed document for either weight
+# kind with positive numbers from 1e-300 to 1e308, then zero to two kinds of
+# damage (NaN/Infinity or other bad numbers, missing, extra or mistyped keys,
+# unsorted weights, an unknown kind, a document that is not an object).
+_MAGNITUDES = st.one_of(
+    st.floats(-300.0, 308.0).map(lambda e: 10.0**e),
+    st.floats(0.5, 5.0),
+    st.sampled_from([0.5, 0.75, 1.0, 2.0, 1e-300, 1e308]),
+    st.integers(1, 10),
+)
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]),
+    st.integers(-3, 3),
+)
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+_DAMAGE = st.sampled_from(
+    ["bad_number", "bad_r", "unsorted", "drop_r", "drop_weights", "drop_field",
+     "junk_r", "junk_field", "junk_weights", "junk_normalized", "extra_key",
+     "extra_weight_key", "bad_kind", "not_an_object"]
+)
+
+
+@st.composite
+def spec_documents(draw):
+    if draw(st.booleans()):
+        weights = {"kind": "power_law", "gamma": draw(_MAGNITUDES), "scale": draw(_MAGNITUDES)}
+        field = "gamma"
+    else:
+        values = sorted(draw(st.lists(_MAGNITUDES, min_size=1, max_size=8)), reverse=True)
+        weights = {"kind": "explicit", "values": values}
+        field = "values"
+    doc = {"r": draw(_MAGNITUDES), "weights": weights}
+    normalized = draw(st.sampled_from([None, None, False, True]))
+    if normalized is not None:
+        doc["normalized"] = normalized
+    damages = draw(st.lists(_DAMAGE, max_size=2))
+    if "not_an_object" in damages:
+        return draw(st.one_of(_NUMBERS, _JUNK))
+    for damage in damages:
+        if damage == "bad_number":
+            if field == "gamma":
+                weights[draw(st.sampled_from(["gamma", "scale"]))] = draw(_NUMBERS)
+            else:
+                weights["values"] = values + [draw(_NUMBERS)]
+        elif damage == "bad_r":
+            doc["r"] = draw(_NUMBERS)
+        elif damage == "unsorted" and field == "values":
+            weights["values"] = values[::-1] + [1.0]
+        elif damage == "drop_r":
+            doc.pop("r", None)
+        elif damage == "drop_weights":
+            doc.pop("weights", None)
+        elif damage == "drop_field":
+            weights.pop(field, None)
+        elif damage == "junk_r":
+            doc["r"] = draw(_JUNK)
+        elif damage == "junk_field":
+            weights[field] = draw(_JUNK)
+        elif damage == "junk_weights":
+            doc["weights"] = draw(_JUNK)
+        elif damage == "junk_normalized":
+            doc["normalized"] = draw(st.one_of(_JUNK, _NUMBERS))
+        elif damage == "extra_key":
+            doc["extra"] = 1
+        elif damage == "extra_weight_key":
+            weights["values" if field == "gamma" else "gamma"] = 1.0
+        elif damage == "bad_kind":
+            weights["kind"] = draw(st.one_of(st.just("mystery"), _JUNK))
+    return doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestFuzz:
+    @given(
+        doc=spec_documents(),
+        m=st.one_of(st.integers(1, 8), st.integers(0, 60)),
+        k=st.integers(2, 21),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cumulants_exit_codes_and_strict_json(self, doc, m, k):
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = dispatch(["cumulants", "--spec", path, "--M", str(m), "--K", str(k)])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue() != ""

@@ -210,7 +210,9 @@ class TestAgainstSampler:
 class TestMRobustness:
     def test_identical_levels_give_zero(self):
         cfg = PipelineConfig(spec=SPEC, M=10, N=3, grid=default_z_grid(SPEC, 401))
-        assert m_robustness(cfg, [10, 10]) == 0.0
+        spread, tables = m_robustness(cfg, [10, 10])
+        assert spread == 0.0
+        assert list(tables) == [10]
 
     def test_needs_two_levels(self):
         cfg = PipelineConfig(spec=SPEC, M=10, N=3, grid=default_z_grid(SPEC, 401))
@@ -219,7 +221,7 @@ class TestMRobustness:
 
     def test_small_across_adjacent_levels(self):
         cfg = PipelineConfig(spec=SPEC, M=5, N=5, grid=default_z_grid(SPEC, 401))
-        assert m_robustness(cfg, [5, 10]) < 0.01
+        assert m_robustness(cfg, [5, 10])[0] < 0.01
 
     def test_higher_order_absorbs_truncation_better(self):
         grid = default_z_grid(SPEC, 401)
@@ -227,7 +229,7 @@ class TestMRobustness:
             n: m_robustness(
                 PipelineConfig(spec=SPEC, M=2, N=n, grid=grid, quad_points=2001),
                 [2, 20],
-            )
+            )[0]
             for n in (2, 5)
         }
         assert rob[5] <= rob[2]

@@ -9,6 +9,7 @@ the oracles.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,7 @@ from gammasum.weights import (
     tail_power_sum,
     tail_weight_sum,
     zeta,
+    _zeta_tail,
 )
 
 
@@ -43,6 +45,17 @@ class TestZeta:
         assert zeta(4.0) == pytest.approx(math.pi**4 / 90.0, abs=1e-13)
         # Apery's constant, standard reference value.
         assert zeta(3.0) == pytest.approx(1.2020569031595943, abs=1e-13)
+
+    @pytest.mark.parametrize("m", [1, 2, 49, 50, 51, 500])
+    def test_hurwitz_tail_relative_error_against_mpmath(self, m):
+        # the Euler-Maclaurin cutoff must keep the error relative as s grows;
+        # mpmath cancels about s log10(m) digits, hence the working precision
+        for s in np.concatenate([np.linspace(1.001, 60.0, 60), [1.0001, 12.0, 30.0]]):
+            s = float(s)
+            with mpmath.workdps(30 + math.ceil(s * math.log10(m + 1))):
+                want = mpmath.zeta(s, m)
+                rel = float(abs(_zeta_tail(s, m) - want) / want)
+            assert rel <= 1e-14, (s, m, rel)
 
     def test_large_s_approaches_one(self):
         assert zeta(30.0) == pytest.approx(1.0 + 2.0**-30, rel=1e-9)
@@ -210,7 +223,7 @@ class TestSerialization:
         back = spec_from_dict(json.loads(json.dumps(d)))
         assert back.r == spec.r
         assert back.weights == spec.weights
-        assert back.normalized  # re-derived from the stored numbers
+        assert back.normalized  # carried by the stored flag
 
     def test_explicit_round_trip(self):
         spec = GammaSumSpec(r=2.0, weights=ExplicitWeights(values=(0.5, 0.25)))
@@ -226,6 +239,25 @@ class TestSerialization:
             {"r": 1.0, "weights": {"kind": "power_law", "gamma": 0.75}},
             {"r": "x", "weights": {"kind": "explicit", "values": [1.0]}},
             {"r": 1.0, "weights": {"kind": "explicit", "values": []}},
+            {"r": 1.0, "weights": {"kind": "explicit", "values": [1.0]}, "extra": 1},
+            {"r": 1.0, "weights": {"kind": "explicit", "values": [1.0], "gamma": 2}},
+            {"r": 1.0, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1,
+                                   "values": [1.0]}},
+            {"r": 1.0, "weights": {"kind": "explicit", "values": [1.0]}, "normalized": 1},
+            {"r": True, "weights": {"kind": "explicit", "values": [1.0]}},
         ):
             with pytest.raises(SpecFormatError):
                 spec_from_dict(bad)
+
+    def test_spec_format_error_is_a_domain_error(self):
+        assert issubclass(SpecFormatError, DomainError)
+
+    def test_normalized_flag_is_honoured_and_checked(self):
+        spec = make_power_law_normalized(gamma=0.75, r=0.5)
+        d = spec_to_dict(spec)
+        assert d["normalized"] is True
+        assert not spec_from_dict({**d, "normalized": False}).normalized
+        off = {"r": 1.0, "weights": d["weights"]}
+        assert not spec_from_dict(off).normalized
+        with pytest.raises(DomainError):
+            spec_from_dict({**off, "normalized": True})
