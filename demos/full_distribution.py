@@ -1,6 +1,6 @@
 """Assembling the full distribution of Z from head and tail.
 
-Three steps: invert the characteristic function of the first M - 1 terms
+Three steps: tabulate the first M - 1 terms exactly as a gamma mixture
 on a grid, expand the remaining scaled tail to Edgeworth order N, then
 convolve.  The truncation level M is a numerical knob, not a model
 parameter, so tables built at different M must agree; the spread across

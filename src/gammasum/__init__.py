@@ -2,7 +2,7 @@
 
 Weighted infinite sums of centered gamma random variables: exact tail power
 sums, tail cumulants and Berry-Esseen bounds, Edgeworth expansions of the
-normalized tail, characteristic-function inversion of the finite head, and
+normalized tail, the finite head's exact gamma-mixture distribution, and
 the head/tail convolution producing the full distribution of Z, validated
 against a Monte-Carlo oracle.
 

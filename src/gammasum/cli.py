@@ -30,6 +30,7 @@ if _cap.isdigit() and int(_cap) > 0:
 
 import numpy as np
 
+from . import __version__
 from .cumulants import be_condition_ratio, berry_esseen_bound, cumulants, sigma_M
 from .edgeworth import build_expansion, edgeworth_cdf, edgeworth_pdf
 from .errors import DomainError, NumericalError, SpecFormatError
@@ -40,15 +41,6 @@ from .weights import make_power_law_normalized, spec_from_dict, spec_to_dict
 
 _REFERENCE_C = 0.4375
 _REFERENCE_C_TOL = 5e-5
-
-
-def _version():
-    try:
-        from importlib.metadata import version
-
-        return version("gammasum")
-    except Exception:
-        return "0.0.0"
 
 
 def _load_spec(path):
@@ -100,7 +92,7 @@ def _write_manifest(out_path, command, argv, config, warnings=()):
         "command": command,
         "argv": list(argv),
         "config": config,
-        "version": _version(),
+        "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "warnings": list(warnings),
     }
@@ -324,7 +316,7 @@ def _build_parser():
     p.add_argument("--out")
     p.set_defaults(func=_cmd_edgeworth)
 
-    p = sub.add_parser("head", help="exact head distribution by CF inversion")
+    p = sub.add_parser("head", help="exact head distribution from its gamma-mixture series")
     p.add_argument("--spec", required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--grid", required=True)

@@ -1,46 +1,52 @@
-"""Exact characteristic function of the finite head and Fourier inversion.
+"""Exact characteristic function and distribution of the finite head.
 
 The head X_M = sum_{n<M} lambda_n (eta_n - 1) has the closed-form CF
 
     cf(u) = prod_{n<M} (1 - i u lambda_n / r)^{-r} exp(-i u lambda_n),
 
-each factor the CF of a scaled centered gamma variate.  Writing G for the
-positive part sum lambda_n eta_n and s for sum lambda_n, the CDF comes from
-the Gil-Pelaez formula at q = x + s,
+each factor the CF of a scaled centered gamma variate.  Its distribution
+needs no Fourier inversion.  The positive part G = sum lambda_n eta_n is a
+sum of Gamma(r, theta_n) variates, theta_n = lambda_n / r, and Moschopoulos
+(1985, Ann. Inst. Stat. Math. 37:541) shows that it is exactly the mixture
 
-    F(q) = 1/2 - (1/pi) integral_0^inf Im[e^{-iuq} B(u)] / u du,
+    G ~ sum_k p_k Gamma(R + k, theta_1),   R = r (M-1), theta_1 = min theta_n,
 
-with B the CF of G, and the density (when |B| is integrable, i.e. the total
-gamma exponent R = r (M-1) exceeds 1) from the matching cosine transform.
+with weights p_k >= 0 read off the generating function
 
-Evaluation splits the u-axis at U0: Gauss-Legendre panels sized to the
-oscillation below U0, and an asymptotic expansion B(u) ~ K u^{-R} sum e_k
-u^{-k} above it, whose termwise integrals I_p(q) = integral_U^inf u^{-p}
-e^{-iqu} du are computed by a rotated-contour Gauss-Laguerre rule for large
-|q| U and by seeded upward recurrence for small |q| U.  The tail is therefore
-integrated to infinity analytically rather than truncated at a modulus
-threshold; a halved-panel verification pass bounds the quadrature error.
+    sum_k p_k z^k = prod_n ((1 - c_n) / (1 - c_n z))^r,   c_n = 1 - theta_1 / theta_n.
+
+The mixing index is a sum of independent negative binomials NegBin(r, c_n),
+so a Chernoff bound P(t) t^{-K} sizes the number of terms K and bounds the
+omitted weight mass.  The weights come from an FFT of the generating
+function on K roots of unity, where |P| <= 1, so nothing underflows.
+
+With y = (x + sum lambda_n) / theta_1 the CDF and PDF are
+
+    F(x) = sum_k p_k P(R + k, y),
+    f(x) = sum_k p_k y^{R+k-1} e^{-y} / (Gamma(R + k) theta_1),
+
+with P the regularized lower incomplete gamma function.  Every term is
+non-negative, so neither sum cancels.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
-import mpmath
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, NumericalError
 from .weights import GammaSumSpec, _check_m
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
-_GLAG_X, _GLAG_W = np.polynomial.laguerre.laggauss(48)
-
-_SERIES_TERMS = 18
-_QU_SPLIT = 8.0
 _REPAIR_TOL = 1e-9
-_REFINE_TOL = 1e-8
+# omitted mixture weight mass the term count K is sized for
+_TAIL_EPS = 1e-17
+# largest K accepted; larger needs fail before anything K-sized is allocated
+_MAX_TERMS = 100_000
+# float64 elements in one (terms x grid points) block of the series
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,21 +66,17 @@ class HeadCF:
         """
         ua = np.asarray(u, dtype=float)
         lam = np.asarray(self.lam, dtype=float)
-        out = _positive_part_cf(lam, self.spec.r, ua) * np.exp(-1j * ua * lam.sum())
+        r = self.spec.r
+        log_cf = np.zeros(ua.shape, dtype=complex)
+        for l in lam:
+            log_cf -= r * np.log(1.0 - 1j * ua * (l / r))
+        out = np.exp(log_cf) * np.exp(-1j * ua * lam.sum())
         return complex(out) if ua.ndim == 0 else out
 
 
 def make_head_cf(spec, m):
     _check_m(m)
     return HeadCF(spec=spec, M=int(m), lam=tuple(spec.weights.head(m)))
-
-
-def _positive_part_cf(lam, r, u):
-    """CF of sum lambda_n eta_n (no centering shift) at array ``u``."""
-    log_cf = np.zeros(u.shape, dtype=complex)
-    for l in lam:
-        log_cf += -r * np.log(1.0 - 1j * u * (l / r))
-    return np.exp(log_cf)
 
 
 @dataclass(frozen=True)
@@ -122,116 +124,53 @@ def default_grid(spec, m, points=2001):
     return np.linspace(-half, half, points)
 
 
-def _tail_integrals_batch(p0, count, q_vec, big_u):
-    """I_{p0+j}(q) for j < count over all q in ``q_vec``; shape (count, nq).
+def _mixture_weights(theta, r):
+    """(p, tail): mixture weights p_0..p_{K-1} and a bound on the omitted mass.
 
-    I_p(q) = integral_{big_u}^inf u^{-p} e^{-iqu} du.  q = 0 is elementary;
-    negative q conjugates; |q| big_u below _QU_SPLIT seeds the base order
-    from the generalized exponential integral and climbs the ladder by parts
-    (stable there, amplification |q|/p < 1); larger |q| big_u rotates the
-    contour to u = big_u - i s/q, where Gauss-Laguerre applies.
+    For 1 < t < 1/c_max, P(N >= K) <= P(t) t^{-K}.  K is the least count
+    that brings this bound below _TAIL_EPS on a log grid of w = 1 - c_max t
+    in (0, 1 - c_max); the smallest bound at that K is returned as ``tail``.
     """
-    q_vec = np.asarray(q_vec, dtype=float)
-    p = p0 + np.arange(count, dtype=float)
-    out = np.empty((count, q_vec.size), dtype=complex)
+    log_b = np.log(theta.min()) - np.log(theta)  # log(1 - c_n)
+    c = -np.expm1(log_b)
+    c_max = float(c.max())
+    if c_max == 0.0:
+        return np.ones(1), 0.0
+    # 1 - c_max, kept apart because c_max rounds to 1 once the weights span 1e16
+    b_min = math.exp(float(log_b.min()))
+    rho = (c / c_max)[:, None]
+    w = b_min * np.logspace(-16.0, 0.0, 161)[:-1]
+    # b_min underflows to 0, and K is infinite, once the weights span 1e308
+    with np.errstate(divide="ignore"):
+        log_pt = r * (log_b[:, None] - np.log((1.0 - rho) + rho * w)).sum(axis=0)
+        log_t = np.log1p(-w) - math.log1p(-b_min)
+        need = float(np.min((log_pt - math.log(_TAIL_EPS)) / log_t))
+    if not need <= _MAX_TERMS:
+        raise NumericalError(
+            f"head mixture series needs K = {need:.3g} terms, over the budget "
+            f"of {_MAX_TERMS}"
+        )
+    k = max(1, math.ceil(need))
+    tail = float(np.exp(np.min(log_pt - k * log_t)))
 
-    aq = np.abs(q_vec)
-    zero = aq == 0.0
-    small = (~zero) & (aq * big_u < _QU_SPLIT)
-    large = (~zero) & ~small
-
-    if np.any(zero):
-        out[:, zero] = (big_u ** (1.0 - p) / (p - 1.0))[:, None]
-
-    for i in np.nonzero(small)[0]:
-        qa = aq[i]
-        with mpmath.workdps(30):
-            seed = mpmath.expint(p0, 1j * qa * big_u) * mpmath.mpf(big_u) ** (1 - p0)
-            seed = complex(seed)
-        ladder = np.empty(count, dtype=complex)
-        ladder[0] = seed
-        edge = cmath.exp(-1j * qa * big_u)
-        for j in range(1, count):
-            pj = p[j - 1]
-            ladder[j] = (big_u**-pj * edge - 1j * qa * ladder[j - 1]) / pj
-        out[:, i] = ladder
-
-    if np.any(large):
-        qa = aq[large]
-        # log of the contour points big_u - i s/q; real part big_u > 0 keeps
-        # the principal branch continuous along the whole contour
-        base_log = np.log(big_u - 1j * _GLAG_X[None, :] / qa[:, None])
-        pref = (-1j / qa) * np.exp(-1j * qa * big_u)
-        vals = np.empty((count, qa.size), dtype=complex)
-        for j in range(count):
-            vals[j] = pref * (np.exp(-p[j] * base_log) @ _GLAG_W)
-        out[:, large] = vals
-
-    neg = q_vec < 0.0
-    out[:, neg] = np.conj(out[:, neg])
-    return out
-
-
-def _tail_series(lam, r, big_u):
-    """(R, K, e) of the large-u expansion B(u) = K u^{-R} sum e_k u^{-k}.
-
-    Returns None when the scaled terms have not decayed to ~1e-13 at the
-    chosen big_u (caller enlarges big_u and retries).
-    """
-    c = r / lam
-    big_r = r * lam.size
-    d = np.zeros(_SERIES_TERMS + 1, dtype=complex)
-    for j in range(1, _SERIES_TERMS + 1):
-        d[j] = r * (-1j) ** j * float(np.sum(c**j)) / j
-    e = np.zeros(_SERIES_TERMS + 1, dtype=complex)
-    e[0] = 1.0
-    for k in range(1, _SERIES_TERMS + 1):
-        e[k] = sum(j * d[j] * e[k - j] for j in range(1, k + 1)) / k
-    big_k = cmath.exp(
-        1j * math.pi * big_r / 2.0 - r * float(np.sum(np.log(lam / r)))
-    )
-    scaled = np.abs(e) * big_u ** -np.arange(_SERIES_TERMS + 1, dtype=float)
-    if scaled[-3:].max() > 1e-13 * max(1.0, scaled.max()):
-        return None
-    return big_r, big_k, e
-
-
-def _panel_rule(big_u, width):
-    n_panels = max(8, int(math.ceil(big_u / width)))
-    w = big_u / n_panels
-    starts = np.arange(n_panels) * w
-    nodes = (starts[:, None] + (0.5 * w) * (_GL_X + 1.0)[None, :]).ravel()
-    wts = np.tile(0.5 * w * _GL_W, n_panels)
-    return nodes, wts
-
-
-def _oscillatory_sums(coeff, u_nodes, q):
-    """S(q_k) = sum_j coeff_j e^{-i u_j q_k}; recurrence on uniform grids."""
-    d = np.diff(q)
-    uniform = d.size > 0 and float(np.max(np.abs(d - d[0]))) <= 1e-12 * abs(d[0])
-    out = np.empty(q.size, dtype=complex)
-    if uniform:
-        w = coeff * np.exp(-1j * u_nodes * q[0])
-        rho = np.exp(-1j * u_nodes * d[0])
-        for k in range(q.size):
-            out[k] = w.sum()
-            w *= rho
-        return out
-    for k0 in range(0, q.size, 64):
-        qs = q[k0 : k0 + 64]
-        out[k0 : k0 + 64] = (
-            coeff[None, :] * np.exp(-1j * qs[:, None] * u_nodes[None, :])
-        ).sum(axis=1)
-    return out
+    # P at z_j = exp(-2 pi i j / K) is the DFT of p; Re(1 - c z) > 0 keeps
+    # every principal log on one branch
+    z = np.exp(-2j * math.pi * np.arange(k // 2 + 1) / k)
+    log_p = np.zeros(z.shape, dtype=complex)
+    for lb, cn in zip(log_b, c):
+        log_p += r * (lb - np.log(1.0 - cn * z))
+    p = np.fft.irfft(np.exp(log_p), n=k)
+    return np.maximum(p, 0.0), tail
 
 
 def invert_to_table(hcf, grid):
-    """Invert the head CF to a CDF (and PDF when it exists) on ``grid``.
+    """Tabulate the head CDF (and PDF when bounded) on ``grid``.
 
-    The PDF is omitted, with a warning on the table, when the total gamma
-    exponent r (M-1) is at most 1 (non-integrable CF modulus; the density is
-    unbounded).  Quadrature error is verified by a halved-panel pass; CDF
-    increments more negative than 1e-9 abort rather than being repaired.
+    The series is evaluated in blocks of grid points, so memory stays
+    O(K * block).  The PDF is omitted, with a warning on the table, when
+    the total gamma exponent r (M-1) is at most 1: the density is then
+    unbounded at the left end of the support.  CDF increments more
+    negative than 1e-9 abort rather than being repaired.
     """
     if hcf.M < 2:
         raise DomainError("head is empty for M = 1; nothing to invert")
@@ -240,78 +179,44 @@ def invert_to_table(hcf, grid):
         raise DomainError("grid must be 1-D and strictly increasing")
     lam = np.asarray(hcf.lam, dtype=float)
     r = hcf.spec.r
-    shift = float(lam.sum())
-    q = grid + shift
-    with_pdf = r * lam.size > 1.0
+    theta = lam / r
+    theta_1 = float(theta.min())
+    big_r = r * lam.size
+    with_pdf = big_r > 1.0
 
-    big_u = max(64.0, 8.0 * float(np.max(r / lam)))
-    for _ in range(3):
-        series = _tail_series(lam, r, big_u)
-        if series is not None:
-            break
-        big_u *= 2.0
-    else:
-        raise NumericalError(
-            f"asymptotic CF expansion did not converge by U = {big_u:g}"
-        )
-    big_r, big_k, e_coef = series
+    p, tail = _mixture_weights(theta, r)
+    a = (big_r + np.arange(p.size))[:, None]
+    log_gamma_a = special.gammaln(a)
 
-    q_abs_max = max(float(np.max(np.abs(q))), 1e-9)
-    width = min(math.pi / (2.0 * q_abs_max), 0.5 * float(np.min(r / lam)), big_u / 8.0)
-
-    def main_sums(scale, want_pdf):
-        nodes, wts = _panel_rule(big_u, width * scale)
-        b_vals = _positive_part_cf(lam, r, nodes)
-        cdf_part = _oscillatory_sums(wts * b_vals / nodes, nodes, q).imag
-        pdf_part = (
-            _oscillatory_sums(wts * b_vals, nodes, q).real if want_pdf else None
-        )
-        return cdf_part, pdf_part
-
-    coarse, _ = main_sums(1.0, False)
-    fine, pdf_main = main_sums(0.5, with_pdf)
-    refinement = float(np.max(np.abs(fine - coarse))) / math.pi
-    if refinement > _REFINE_TOL:
-        raise NumericalError(
-            f"panel refinement changed the CDF by {refinement:.3e}"
-        )
-
-    p0 = big_r if with_pdf else big_r + 1.0
-    count = _SERIES_TERMS + (2 if with_pdf else 1)
-    ladder = _tail_integrals_batch(p0, count, q, big_u)
-    off = 1 if with_pdf else 0
-    ks = np.arange(_SERIES_TERMS + 1)
-    tail_cdf = (big_k * (e_coef[:, None] * ladder[off + ks]).sum(axis=0)).imag
-    cdf = 0.5 - (fine + tail_cdf) / math.pi
+    cdf = np.zeros(grid.size)
+    pdf = np.zeros(grid.size) if with_pdf else None
+    q = grid + lam.sum()
+    pos = np.nonzero(q > 0.0)[0]
+    step = max(1, _BLOCK // p.size)
+    for i0 in range(0, pos.size, step):
+        idx = pos[i0 : i0 + step]
+        y = q[idx] / theta_1
+        cdf[idx] = p @ special.gammainc(a, y)
+        if with_pdf:
+            pdf[idx] = p @ np.exp((a - 1.0) * np.log(y) - y - log_gamma_a) / theta_1
 
     worst = float(np.max(-np.diff(cdf), initial=0.0))
     if worst > _REPAIR_TOL:
         raise NumericalError(f"CDF non-monotone by {worst:.3e} before repair")
-    cdf = np.minimum(np.maximum.accumulate(np.maximum(cdf, 0.0)), 1.0)
+    cdf = np.minimum(np.maximum.accumulate(cdf), 1.0)
 
-    warnings = ()
-    pdf = None
-    if with_pdf:
-        tail_pdf = (big_k * (e_coef[:, None] * ladder[ks]).sum(axis=0)).real
-        pdf = (pdf_main + tail_pdf) / math.pi
-        neg = float(np.min(pdf, initial=0.0))
-        if neg < -1e-8:
-            raise NumericalError(f"PDF negative by {neg:.3e}")
-        pdf = np.maximum(pdf, 0.0)
-    else:
-        warnings = (
-            "density omitted: total gamma exponent r (M-1) <= 1 makes the "
-            "CF modulus non-integrable",
-        )
-
+    warnings = () if with_pdf else (
+        "density omitted: total gamma exponent r (M-1) <= 1 makes the "
+        "CF modulus non-integrable",
+    )
     return DistributionTable(
         grid=grid,
         cdf=cdf,
         pdf=pdf,
         warnings=warnings,
         diagnostics={
-            "refinement_change": refinement,
+            "series_terms": int(p.size),
+            "series_tail_mass": tail,
             "max_monotone_violation": worst,
-            "integration_split": big_u,
         },
     )

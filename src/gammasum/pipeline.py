@@ -1,8 +1,8 @@
-"""Assembly of the full distribution from head inversion and tail expansion.
+"""Assembly of the full distribution from the exact head and tail expansion.
 
-Z splits at a truncation level M into an exact head X_M (finite gamma
-convolution, inverted from its CF) and a tail Y_M handled by a cumulant
-expansion of order N.  The CDF of Z is the convolution
+Z splits at a truncation level M into an exact head X_M (a finite gamma
+convolution, tabulated as a gamma mixture) and a tail Y_M handled by a
+cumulant expansion of order N.  The CDF of Z is the convolution
 
     F_Z(x) = integral F_{X_M}(x - y) f_{Y_M}(y) dy,
 
@@ -12,7 +12,7 @@ below machine precision before the window ends, which kills the boundary
 terms in the Euler-Maclaurin expansion, so the rule converges much faster
 than its nominal order (doubling 4001 nodes moves the result by ~1e-9).
 The head CDF enters through a monotone cubic interpolant of a dense
-inversion table, so each output point costs one weighted dot product.
+head table, so each output point costs one weighted dot product.
 One caveat: a head whose density is unbounded (total gamma exponent
 r (M-1) <= 1) puts a square-root kink into the integrand and drags the
 rule back to ~h^1.5, about 1e-5 at the default node count; refinement
@@ -218,7 +218,7 @@ def z_cdf(cfg):
             "tail_mass": tail_mass,
             "negative_tail_mass": neg_mass,
             "monotone_violation": worst,
-            "head_refinement_change": head.diagnostics["refinement_change"],
+            "head_series_tail_mass": head.diagnostics["series_tail_mass"],
         },
     )
 

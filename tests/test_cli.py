@@ -14,11 +14,14 @@ import subprocess
 import sys
 import tempfile
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
+import gammasum
 from gammasum.cli import _load_spec, _parse_grid, dispatch
 from gammasum.cumulants import berry_esseen_bound, sigma_M
 from gammasum.edgeworth import build_expansion, edgeworth_cdf
@@ -205,6 +208,41 @@ class TestHeadCommand:
         assert dispatch(args + ["--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_manifest_records_package_version(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "h.csv"
+        args = ["head", "--spec", spec_path, "--M", "3", "--grid=-6:6:101"]
+        assert dispatch(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        man = json.loads((tmp_path / "h.csv.manifest.json").read_text())
+        assert man["version"] == gammasum.__version__
+
+    def test_many_terms_exit_zero(self, spec_path, tmp_path, capsys):
+        out = tmp_path / "h100.csv"
+        rc = dispatch(
+            ["head", "--spec", spec_path, "--M", "100", "--grid=-6:6:201",
+             "--out", str(out)]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        header, data = read_csv(str(out))
+        assert header == ["x", "cdf", "pdf"]
+        assert data[0, 1] <= 0.001 and data[-1, 1] >= 0.999
+
+    def test_term_budget_exits_3_quickly(self, tmp_path, capsys):
+        spec = tmp_path / "wide.json"
+        spec.write_text(json.dumps(
+            {"r": 0.5, "weights": {"kind": "explicit", "values": [1.0, 1e-9]}}
+        ))
+        start = time.perf_counter()
+        rc = dispatch(
+            ["head", "--spec", str(spec), "--M", "3", "--grid=-2:2:101",
+             "--out", str(tmp_path / "wide.csv")]
+        )
+        elapsed = time.perf_counter() - start
+        assert rc == 3
+        assert "terms" in capsys.readouterr().err
+        assert elapsed < 1.0
 
 
 class TestMcAndValidate:

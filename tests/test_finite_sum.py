@@ -1,9 +1,10 @@
-"""Head characteristic function and Fourier inversion to CDF/PDF tables.
+"""Head characteristic function and its exact gamma-mixture tables.
 
 Oracles: the closed-form shifted-gamma distribution for a one-term head, the
-per-factor Levy integral evaluated by quadrature, mpmath's generalized
-exponential integral for the truncated oscillatory tail integrals, and the
-Monte-Carlo sampler.
+hypoexponential closed form for distinct weights at r = 1, the Kummer-form
+density of a two-weight head integrated by mpmath, the closed-form CF (per
+factor, and against the mixture's own CF), the per-factor Levy integral
+evaluated by quadrature, and the Monte-Carlo sampler.
 """
 
 import cmath
@@ -17,11 +18,11 @@ from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
 from gammasum.cumulants import sigma_M
-from gammasum.errors import DomainError
+from gammasum.errors import DomainError, NumericalError
 from gammasum.finite_sum import (
     DistributionTable,
     HeadCF,
-    _tail_integrals_batch,
+    _mixture_weights,
     default_grid,
     invert_to_table,
     make_head_cf,
@@ -52,11 +53,39 @@ def shifted_gamma_pdf(x, lam, r):
     return gamma_dist.pdf(np.asarray(x) / lam + 1.0, a=r, scale=1.0 / r) / lam
 
 
-def mp_tail_integral(p, q, big_u):
-    """I_p(q) = integral_U^inf u^(-p) e^(-iqu) du via mpmath, dps 40."""
+def mp_two_weight_cdf(q, lam, r):
+    """CDF at q of lam_1 eta_1 + lam_2 eta_2 via mpmath, dps 40.
+
+    With theta_i = lam_i / r the density is the Kummer form
+    q^(2r-1) e^(-q/theta_2) 1F1(r; 2r; -q (1/theta_1 - 1/theta_2))
+    / (Gamma(2r) (theta_1 theta_2)^r), integrated from whichever end is nearer.
+    """
+    if q <= 0.0:
+        return 0.0
     with mpmath.workdps(40):
-        val = mpmath.expint(p, 1j * q * big_u) * mpmath.mpf(big_u) ** (1 - p)
-        return complex(val)
+        t1, t2 = (mpmath.mpf(l) / r for l in lam)
+        a = mpmath.mpf(r)
+        rate = 1 / t1 - 1 / t2
+        norm = mpmath.gamma(2 * a) * (t1 * t2) ** a
+
+        def pdf(s):
+            kummer = mpmath.hyp1f1(a, 2 * a, -s * rate)
+            return s ** (2 * a - 1) * mpmath.exp(-s / t2) * kummer / norm
+
+        if q <= sum(lam):
+            return float(mpmath.quad(pdf, [0, q]))
+        return float(1 - mpmath.quad(pdf, [q, mpmath.inf]))
+
+
+def mixture_cf(hcf, u):
+    """sum_k p_k (1 - i u theta_1)^{-(R+k)} e^{-i u sum lambda}: the CF of the mixture."""
+    lam = np.asarray(hcf.lam)
+    r = hcf.spec.r
+    theta = lam / r
+    p, _ = _mixture_weights(theta, r)
+    shape = r * lam.size + np.arange(p.size)
+    base = 1.0 - 1j * u * theta.min()
+    return np.sum(p * np.exp(-shape * np.log(base))) * cmath.exp(-1j * u * lam.sum())
 
 
 class TestHeadCF:
@@ -129,27 +158,40 @@ class TestHeadCF:
 
 
 class TestTailIntegralsLadder:
-    # spans both evaluation branches: |q| U < 8 (seeded recurrence) and
-    # |q| U >= 8 (rotated-contour Gauss-Laguerre)
+    # the table is a ladder of incomplete gamma integrals of shape R + k;
+    # a two-weight head with R = 2r = p0 is checked against its Kummer-form
+    # density integrated by mpmath, from the left edge (qu = 0) through the
+    # lower tail and the bulk (qu = 8 is the mean) into the upper tail
     @pytest.mark.parametrize("p0", [1.3, 2.5, 4.5, 11.5])
     @pytest.mark.parametrize("qu", [0.0, 0.3, 3.0, 7.9, 8.1, 40.0, 500.0])
     def test_against_mpmath(self, p0, qu):
-        big_u = 64.0
-        q = qu / big_u
-        got = _tail_integrals_batch(p0, 6, np.array([q]), big_u)[:, 0]
-        for j in range(6):
-            want = mp_tail_integral(p0 + j, q, big_u)
-            assert got[j] == pytest.approx(want, rel=1e-10, abs=1e-300)
+        lam = (1.0, 0.4)
+        spec = GammaSumSpec(r=p0 / 2.0, weights=ExplicitWeights(lam))
+        q = qu / 8.0 * sum(lam)
+        x = q - sum(lam)
+        grid = np.union1d(np.linspace(-2.0, 40.0, 4001), [x])
+        table = invert_to_table(make_head_cf(spec, 3), grid)
+        got = table.cdf[np.searchsorted(grid, x)]
+        want = mp_two_weight_cdf(q, lam, spec.r)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
     def test_negative_q_conjugate(self):
-        got_p = _tail_integrals_batch(2.5, 4, np.array([0.05]), 64.0)[:, 0]
-        got_m = _tail_integrals_batch(2.5, 4, np.array([-0.05]), 64.0)[:, 0]
-        np.testing.assert_allclose(got_m, np.conj(got_p), rtol=1e-13)
+        # the mixture's CF at -u is the conjugate of the closed form at u
+        hcf = make_head_cf(make_power_law_normalized(gamma=0.75, r=1.25), 5)
+        for u in (0.05, 0.5, 5.0):
+            got = mixture_cf(hcf, -u)
+            assert got == pytest.approx(np.conj(hcf.cf(u)), rel=1e-13)
 
     def test_large_u_scale(self):
-        got = _tail_integrals_batch(3.5, 3, np.array([0.02]), 512.0)[:, 0]
+        # weights of order 512: theta_1 and the grid scale up together
+        lam = (512.0, 204.8)
+        spec = GammaSumSpec(r=1.75, weights=ExplicitWeights(lam))
+        q = np.array([0.02, 0.5, 2.0]) * sum(lam)
+        grid = np.union1d(np.linspace(-1.1, 20.0, 4001) * sum(lam), q - sum(lam))
+        table = invert_to_table(make_head_cf(spec, 3), grid)
+        got = table.cdf[np.searchsorted(grid, q - sum(lam))]
         for j in range(3):
-            want = mp_tail_integral(3.5 + j, 0.02, 512.0)
+            want = mp_two_weight_cdf(q[j], lam, spec.r)
             assert got[j] == pytest.approx(want, rel=1e-10)
 
 
@@ -187,7 +229,7 @@ class TestInversionSingleTerm:
         spec = reference_spec()
         grid = np.linspace(-0.6, 5.0, 401)
         table = invert_to_table(make_head_cf(spec, 2), grid)
-        assert table.diagnostics["refinement_change"] < 1e-8
+        assert table.diagnostics["series_tail_mass"] < 1e-14
 
 
 class TestInversionManyTerms:
@@ -232,6 +274,59 @@ class TestInversionManyTerms:
     def test_degenerate_head_rejected(self):
         with pytest.raises(DomainError):
             invert_to_table(make_head_cf(reference_spec(), 1), np.linspace(-1, 1, 11))
+
+
+class TestMixtureOracles:
+    def test_hypoexponential_closed_form(self):
+        # r = 1 and distinct weights: G = sum theta_i Exp(1) has
+        # F(q) = 1 - sum_i A_i e^{-q/theta_i}, A_i = prod_{j != i} theta_i / (theta_i - theta_j)
+        spec = make_power_law_normalized(gamma=0.75, r=1.0)
+        m = 5
+        grid = default_grid(spec, m)
+        table = invert_to_table(make_head_cf(spec, m), grid)
+        lam = spec.weights.head(m)
+        theta = lam / spec.r
+        amp = np.array(
+            [np.prod([ti / (ti - tj) for tj in theta if tj != ti]) for ti in theta]
+        )
+        q = grid + lam.sum()
+        pos = q > 0.0
+        decay = np.exp(-q[pos, None] / theta[None, :])
+        cdf = np.zeros(grid.size)
+        pdf = np.zeros(grid.size)
+        cdf[pos] = 1.0 - decay @ amp
+        pdf[pos] = decay @ (amp / theta)
+        assert np.max(np.abs(table.cdf - cdf)) <= 1e-13
+        assert np.max(np.abs(table.pdf - pdf)) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.5, 2.0])
+    @pytest.mark.parametrize("m", [3, 20])
+    def test_mixture_cf_matches_closed_form(self, r, m):
+        # sum_k p_k (1 - i u theta_1)^{-(R+k)} e^{-i u sum lambda} is the
+        # CF of the mixture; it must equal the closed-form head CF
+        hcf = make_head_cf(make_power_law_normalized(gamma=0.75, r=r), m)
+        for u in (0.1, 1.0, 10.0, 100.0):
+            assert abs(mixture_cf(hcf, u) - hcf.cf(u)) <= 1e-12
+
+    def test_term_budget_fails_early(self):
+        # c = 1 - 1e-9 needs about 4.2e10 terms
+        spec = GammaSumSpec(r=0.5, weights=ExplicitWeights((1.0, 1e-9)))
+        with pytest.raises(NumericalError, match="terms"):
+            invert_to_table(make_head_cf(spec, 3), np.linspace(-2.0, 2.0, 11))
+
+
+class TestFormerlyFailingHeads:
+    # the Fourier inversion failed on these (series divergence, overflow)
+    @pytest.mark.parametrize("r, m", [(0.5, 100), (50.0, 20)])
+    def test_ks_against_monte_carlo(self, r, m):
+        spec = make_power_law_normalized(gamma=0.75, r=r)
+        grid = default_grid(spec, m)
+        table = invert_to_table(make_head_cf(spec, m), grid)
+        assert table.pdf is not None
+        n = 100_000
+        batch = sample_head(spec, m, n, seed=2024)
+        d = ks_distance(batch, lambda x: np.interp(x, grid, table.cdf))
+        assert d < 1.95 / math.sqrt(n)
 
 
 class TestDistributionTable:
