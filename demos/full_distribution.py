@@ -21,7 +21,7 @@ from gammasum import (
 spec = make_power_law_normalized(0.75, 0.5)
 grid = default_z_grid(spec, 801)
 
-cfg = PipelineConfig(spec=spec, M=10, N=5, grid=grid, quad_points=2001)
+cfg = PipelineConfig(spec=spec, M=10, N=5, grid=grid)
 tab = z_cdf(cfg)
 
 print(f"M = 10, N = 5, tail sd = {sigma_M(spec, 10):.6f}")

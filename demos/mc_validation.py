@@ -53,11 +53,7 @@ for m in (5, 10, 20):
 print()
 
 # full Z table vs direct samples of Z
-tab = z_cdf(
-    PipelineConfig(
-        spec=spec, M=10, N=5, grid=default_z_grid(spec, 801), quad_points=2001
-    )
-)
+tab = z_cdf(PipelineConfig(spec=spec, M=10, N=5, grid=default_z_grid(spec, 801)))
 batch = sample_z(spec, "normal_tail", n, seed=404)
 d = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
 print(f"assembled Z table vs {n} direct samples: KS = {d:.4f}")

@@ -6,77 +6,66 @@ normalized tail, the finite head's exact gamma-mixture distribution, and
 the head/tail convolution producing the full distribution of Z, validated
 against a Monte-Carlo oracle.
 
-Submodules are imported lazily so that `import gammasum` itself stays free
-of numpy; the command-line entry point relies on that to cap BLAS thread
-pools through environment variables before numpy first loads.
+The cumulant constructor gammasum.cumulants.cumulants is exported as
+tail_cumulants, because the name cumulants is the submodule.
 """
-
-import importlib
 
 __version__ = "0.1.0"
 
-# public name -> defining submodule, or "submodule:attr" when the names
-# differ.  The constructor gammasum.cumulants.cumulants is re-exported as
-# tail_cumulants because a plain alias would collide with the submodule
-# attribute the import system plants on the package.
-_EXPORTS = {
-    "DomainError": "errors",
-    "NumericalError": "errors",
-    "DegenerateTailError": "errors",
-    "SpecFormatError": "errors",
-    "PowerLawWeights": "weights",
-    "ExplicitWeights": "weights",
-    "GammaSumSpec": "weights",
-    "make_power_law_normalized": "weights",
-    "tail_power_sum": "weights",
-    "TailCumulants": "cumulants",
-    "tail_cumulants": "cumulants:cumulants",
-    "sigma_M": "cumulants",
-    "berry_esseen_bound": "cumulants",
-    "be_condition_ratio": "cumulants",
-    "support_lower_bound": "cumulants",
-    "IndexVector": "edgeworth",
-    "EdgeworthExpansion": "edgeworth",
-    "enumerate_eta": "edgeworth",
-    "hermite": "edgeworth",
-    "build_expansion": "edgeworth",
-    "edgeworth_cdf": "edgeworth",
-    "edgeworth_pdf": "edgeworth",
-    "negative_pdf_mass": "edgeworth",
-    "LevyTailDensity": "levy",
-    "levy_tail_density": "levy",
-    "levy_density": "levy",
-    "cumulant_via_integral": "levy",
-    "re_log_cf": "levy",
-    "HeadCF": "finite_sum",
-    "make_head_cf": "finite_sum",
-    "DistributionTable": "finite_sum",
-    "default_grid": "finite_sum",
-    "invert_to_table": "finite_sum",
-    "PipelineConfig": "pipeline",
-    "default_z_grid": "pipeline",
-    "z_cdf": "pipeline",
-    "m_robustness": "pipeline",
-    "SampleBatch": "mc_oracle",
-    "sample_z": "mc_oracle",
-    "sample_head": "mc_oracle",
-    "sample_tail": "mc_oracle",
-    "ks_distance": "mc_oracle",
-}
+from .cumulants import (
+    TailCumulants,
+    be_condition_ratio,
+    berry_esseen_bound,
+    sigma_M,
+    support_lower_bound,
+)
+from .cumulants import cumulants as tail_cumulants
+from .edgeworth import (
+    EdgeworthExpansion,
+    IndexVector,
+    build_expansion,
+    edgeworth_cdf,
+    edgeworth_pdf,
+    enumerate_eta,
+    hermite,
+    negative_pdf_mass,
+)
+from .errors import DegenerateTailError, DomainError, NumericalError, SpecFormatError
+from .finite_sum import (
+    DistributionTable,
+    HeadCF,
+    default_grid,
+    invert_to_table,
+    make_head_cf,
+)
+from .levy import (
+    LevyTailDensity,
+    cumulant_via_integral,
+    levy_density,
+    levy_tail_density,
+    re_log_cf,
+)
+from .mc_oracle import SampleBatch, ks_distance, sample_head, sample_tail, sample_z
+from .pipeline import PipelineConfig, default_z_grid, m_robustness, z_cdf
+from .weights import (
+    ExplicitWeights,
+    GammaSumSpec,
+    PowerLawWeights,
+    make_power_law_normalized,
+    tail_power_sum,
+)
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    try:
-        target = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(f"module 'gammasum' has no attribute {name!r}") from None
-    module, _, attr = target.partition(":")
-    value = getattr(importlib.import_module(f".{module}", __name__), attr or name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "DegenerateTailError", "DomainError", "NumericalError", "SpecFormatError",
+    "ExplicitWeights", "GammaSumSpec", "PowerLawWeights",
+    "make_power_law_normalized", "tail_power_sum",
+    "TailCumulants", "tail_cumulants", "sigma_M", "berry_esseen_bound",
+    "be_condition_ratio", "support_lower_bound",
+    "IndexVector", "EdgeworthExpansion", "enumerate_eta", "hermite",
+    "build_expansion", "edgeworth_cdf", "edgeworth_pdf", "negative_pdf_mass",
+    "LevyTailDensity", "levy_tail_density", "levy_density",
+    "cumulant_via_integral", "re_log_cf",
+    "HeadCF", "make_head_cf", "DistributionTable", "default_grid", "invert_to_table",
+    "PipelineConfig", "default_z_grid", "z_cdf", "m_robustness",
+    "SampleBatch", "sample_z", "sample_head", "sample_tail", "ks_distance",
+]

@@ -10,11 +10,6 @@ reproduces the artifact bit for bit.
 
 Exit codes: 0 on success, 2 for usage errors and bad inputs, 3 when a
 computation fails its accuracy checks, overflows, or yields a NaN or inf.
-
-GAMMASUM_MAX_THREADS caps the BLAS/OpenMP thread pools.  It must act
-before the numeric libraries initialize, which is why this module sets
-the standard thread-count variables at import time, ahead of any heavy
-import.
 """
 
 import argparse
@@ -22,11 +17,6 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
-
-_cap = os.environ.get("GAMMASUM_MAX_THREADS", "").strip()
-if _cap.isdigit() and int(_cap) > 0:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, _cap)
 
 import numpy as np
 
@@ -70,6 +60,8 @@ def _parse_grid(text):
 def _write_csv(path, cols):
     header = ",".join(name for name, _ in cols)
     data = np.column_stack([np.asarray(c, dtype=float) for _, c in cols])
+    if not np.all(np.isfinite(data)):
+        raise NumericalError("non-finite value in the output table")
     np.savetxt(path, data, delimiter=",", fmt="%.17g", header=header, comments="")
 
 
@@ -180,13 +172,7 @@ def _cmd_head(args, argv):
 
 def _cmd_zdist(args, argv):
     spec = _load_spec(args.spec)
-    cfg = PipelineConfig(
-        spec=spec,
-        M=args.M,
-        N=args.N,
-        grid=_parse_grid(args.grid),
-        quad_points=args.quad_points,
-    )
+    cfg = PipelineConfig(spec=spec, M=args.M, N=args.N, grid=_parse_grid(args.grid))
     robustness, tables = None, {}
     if args.robustness:
         try:
@@ -214,7 +200,6 @@ def _cmd_zdist(args, argv):
         "M": args.M,
         "N": args.N,
         "grid": args.grid,
-        "quad_points": args.quad_points,
         "robustness": args.robustness,
         "mc": args.mc,
     }
@@ -329,7 +314,6 @@ def _build_parser():
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--quad-points", dest="quad_points", type=int, default=4001)
     p.add_argument("--robustness", help="comma-separated truncation levels")
     p.add_argument("--mc", help="sample file for a KS comparison")
     p.set_defaults(func=_cmd_zdist)

@@ -33,6 +33,10 @@ MAX_HERMITE_DEGREE = 50
 # enumerate_eta caps N at 20, so pdf evaluation never needs more than H_54.
 _MAX_INTERNAL_DEGREE = 64
 
+# negative_pdf_mass integrates over [-12, 12] with this many Simpson nodes
+_NEG_MASS_HALF_WIDTH = 12.0
+_NEG_MASS_POINTS = 4001
+
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 
@@ -183,12 +187,12 @@ def edgeworth_pdf(expansion, x):
     return float(out) if xa.ndim == 0 else out
 
 
-def negative_pdf_mass(expansion, lo=-12.0, hi=12.0, n=4001):
-    """Integral of the negative part of the density over [lo, hi].
+def negative_pdf_mass(expansion):
+    """Integral of the negative part of the density over [-12, 12].
 
     A truncated expansion need not be nonnegative; this measures how much
     mass sits below zero, as a quality diagnostic.
     """
-    x = np.linspace(lo, hi, n)
+    x = np.linspace(-_NEG_MASS_HALF_WIDTH, _NEG_MASS_HALF_WIDTH, _NEG_MASS_POINTS)
     neg = np.clip(-edgeworth_pdf(expansion, x), 0.0, None)
     return float(integrate.simpson(neg, x=x))

@@ -163,14 +163,45 @@ def _mixture_weights(theta, r):
     return np.maximum(p, 0.0), tail
 
 
+def _finish_table(grid, cdf, pdf, warnings, diagnostics, tol=_REPAIR_TOL):
+    """The table for raw CDF and PDF values on ``grid``.
+
+    CDF decrements up to ``tol`` are repaired by clamping into [0, 1] and
+    taking the running maximum; a larger one raises NumericalError.  The
+    largest decrement is recorded as ``monotone_violation``.  The PDF, if
+    given, is clipped at zero and omitted with a warning when its trapezoid
+    mass on the grid then falls outside [0.998, 1.002].
+    """
+    worst = float(np.max(-np.diff(cdf), initial=0.0))
+    if worst > tol:
+        raise NumericalError(f"CDF non-monotone by {worst:.3e} (tolerance {tol:.3e})")
+    cdf = np.minimum(np.maximum.accumulate(np.maximum(cdf, 0.0)), 1.0)
+    if pdf is not None:
+        pdf = np.maximum(pdf, 0.0)
+        mass = float(np.trapezoid(pdf, grid))
+        if not 0.998 <= mass <= 1.002:
+            pdf = None
+            warnings += (
+                f"density omitted: its grid mass after clipping at zero is {mass:.4f}",
+            )
+    return DistributionTable(
+        grid=grid,
+        cdf=cdf,
+        pdf=pdf,
+        warnings=warnings,
+        diagnostics={**diagnostics, "monotone_violation": worst},
+    )
+
+
 def invert_to_table(hcf, grid):
-    """Tabulate the head CDF (and PDF when bounded) on ``grid``.
+    """Tabulate the head CDF (and PDF when bounded and continuous) on ``grid``.
 
     The series is evaluated in blocks of grid points, so memory stays
     O(K * block).  The PDF is omitted, with a warning on the table, when
-    the total gamma exponent r (M-1) is at most 1: the density is then
-    unbounded at the left end of the support.  CDF increments more
-    negative than 1e-9 abort rather than being repaired.
+    the total gamma exponent R = r (M-1) is at most 1: the density is then
+    unbounded (R < 1) or jumps (R = 1) at the left end of the support.  It
+    is also omitted when the grid is too coarse to integrate it to within
+    2e-3.  CDF decrements larger than 1e-9 abort rather than being repaired.
     """
     if hcf.M < 2:
         raise DomainError("head is empty for M = 1; nothing to invert")
@@ -200,23 +231,10 @@ def invert_to_table(hcf, grid):
         if with_pdf:
             pdf[idx] = p @ np.exp((a - 1.0) * np.log(y) - y - log_gamma_a) / theta_1
 
-    worst = float(np.max(-np.diff(cdf), initial=0.0))
-    if worst > _REPAIR_TOL:
-        raise NumericalError(f"CDF non-monotone by {worst:.3e} before repair")
-    cdf = np.minimum(np.maximum.accumulate(cdf), 1.0)
-
     warnings = () if with_pdf else (
-        "density omitted: total gamma exponent r (M-1) <= 1 makes the "
-        "CF modulus non-integrable",
+        f"density omitted: total gamma exponent r (M-1) = {big_r:g} makes it "
+        + ("unbounded" if big_r < 1.0 else "jump")
+        + " at the left end of the support",
     )
-    return DistributionTable(
-        grid=grid,
-        cdf=cdf,
-        pdf=pdf,
-        warnings=warnings,
-        diagnostics={
-            "series_terms": int(p.size),
-            "series_tail_mass": tail,
-            "max_monotone_violation": worst,
-        },
-    )
+    diagnostics = {"series_terms": int(p.size), "series_tail_mass": tail}
+    return _finish_table(grid, cdf, pdf, warnings, diagnostics)

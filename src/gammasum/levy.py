@@ -23,7 +23,7 @@ keeping the truncation error far below 1e-12 of the retained sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -66,7 +66,7 @@ def _em_tail(a, gamma, cut):
 
 
 def _exp_power_sum(a, gamma, start):
-    """(sum_{n >= start} exp(-a n^gamma), number of explicitly summed terms).
+    """sum_{n >= start} exp(-a n^gamma).
 
     Relative error is kept around 1e-13.  For gamma >= 1 the terms decay at
     least geometrically and direct block summation terminates quickly; for
@@ -74,7 +74,7 @@ def _exp_power_sum(a, gamma, start):
     remainder is completed analytically.
     """
     if a * start**gamma > _EXP_UNDERFLOW:
-        return 0.0, 0
+        return 0.0
     if gamma < 1.0:
         ratio = a * gamma / _EM_DERIV_CAP
         # cut where the summand's log-derivative drops below the cap; in log
@@ -89,7 +89,7 @@ def _exp_power_sum(a, gamma, start):
         if cut is not None and a * cut**gamma <= _EXP_UNDERFLOW:
             idx = np.arange(start, cut, dtype=float)
             explicit = float(np.exp(-a * idx**gamma).sum()) if cut > start else 0.0
-            return explicit + _em_tail(a, gamma, cut), cut - start
+            return explicit + _em_tail(a, gamma, cut)
 
     # direct summation; tail after n bounded by term(n) + integral past n
     total = 0.0
@@ -106,7 +106,7 @@ def _exp_power_sum(a, gamma, start):
         bracket = math.exp(-z) + s * a ** (-s) * math.gamma(s) * special.gammaincc(s, z)
         if bracket < _REL_TOL * total:
             break
-    return total, n - start
+    return total
 
 
 def _log1p_power_tail(b, gamma, start):
@@ -139,16 +139,11 @@ def _log1p_power_tail(b, gamma, start):
 
 @dataclass(frozen=True)
 class LevyTailDensity:
-    """Evaluable Levy density of the normalized tail past truncation M.
-
-    ``series_cutoff`` records the largest number of explicitly summed terms
-    any evaluation has needed so far; it grows as evaluations demand.
-    """
+    """Evaluable Levy density of the normalized tail past truncation M."""
 
     spec: GammaSumSpec
     M: int
     sigma_M: float
-    series_cutoff: int = field(default=0, compare=False)
 
 
 def levy_tail_density(spec, m):
@@ -165,13 +160,10 @@ def levy_density(d, x):
     r = d.spec.r
     if isinstance(w, PowerLawWeights):
         a = r * x * d.sigma_M / w.scale
-        total, n_used = _exp_power_sum(a, w.gamma, d.M)
+        total = _exp_power_sum(a, w.gamma, d.M)
     else:
         lam = np.asarray(w.values[d.M - 1 :], dtype=float)
         total = float(np.exp(-r * x * d.sigma_M / lam).sum())
-        n_used = lam.size
-    if n_used > d.series_cutoff:
-        object.__setattr__(d, "series_cutoff", n_used)
     return (r / x) * total
 
 

@@ -7,15 +7,16 @@ cumulant expansion of order N.  The CDF of Z is the convolution
     F_Z(x) = integral F_{X_M}(x - y) f_{Y_M}(y) dy,
 
 with f_{Y_M}(y) = edgeworth_pdf(y / sigma_M) / sigma_M, taken over
-y within +/- 10 sigma_M on a uniform trapezoid rule.  The integrand decays
-below machine precision before the window ends, which kills the boundary
-terms in the Euler-Maclaurin expansion, so the rule converges much faster
-than its nominal order (doubling 4001 nodes moves the result by ~1e-9).
+y within +/- 10 sigma_M on a uniform 4001-node trapezoid rule.  The
+integrand decays below machine precision before the window ends, which
+kills the boundary terms in the Euler-Maclaurin expansion, so the rule
+converges much faster than its nominal order (doubling the nodes moves
+the result by ~1e-9).
 The head CDF enters through a monotone cubic interpolant of a dense
 head table, so each output point costs one weighted dot product.
-One caveat: a head whose density is unbounded (total gamma exponent
-r (M-1) <= 1) puts a square-root kink into the integrand and drags the
-rule back to ~h^1.5, about 1e-5 at the default node count; refinement
+One caveat: a head whose density is unbounded or jumps at its left end
+(total gamma exponent r (M-1) <= 1) puts a kink into the integrand and
+drags the rule back to ~h^1.5, about 1e-5 at this node count; refinement
 claims should be checked per case in that regime.
 
 M = 1 has an empty head and returns the rescaled expansion itself; a tail
@@ -25,7 +26,10 @@ collapses the convolution to the bare head table.
 The expansion density integrates as-is where it dips negative; when the
 negative part exceeds 1e-3 in mass a quality warning is attached and the
 monotone-repair tolerance widens in proportion, since dips of that size
-are properties of the expansion, not quadrature failures.
+are properties of the expansion, not quadrature failures.  Every table is
+finished by the same repair and density gate as a head table, and carries
+the diagnostics tail_mass, negative_tail_mass and monotone_violation, plus
+head_series_tail_mass when M >= 2.
 """
 
 from __future__ import annotations
@@ -39,16 +43,17 @@ from scipy.interpolate import PchipInterpolator
 
 from .cumulants import cumulants, sigma_M
 from .edgeworth import build_expansion, edgeworth_cdf, edgeworth_pdf, negative_pdf_mass
-from .errors import DegenerateTailError, DomainError, NumericalError
-from .finite_sum import DistributionTable, invert_to_table, make_head_cf
+from .errors import DegenerateTailError, DomainError
+from .finite_sum import _REPAIR_TOL, _finish_table, invert_to_table, make_head_cf
 from .weights import GammaSumSpec, _check_m
 
 _TAIL_HALF_WIDTH = 10.0
 _POINT_MASS_EPS = 1e-12
 _NEG_MASS_WARN = 1e-3
 _MASS_DEV_WARN = 1e-6
-_BASE_REPAIR_TOL = 1e-9
 _GRID_CHUNK = 256
+# trapezoid nodes of the convolution over the tail window
+_QUAD_POINTS = 4001
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +64,6 @@ class PipelineConfig:
     M: int
     N: int
     grid: np.ndarray
-    quad_points: int = 4001
 
     def __post_init__(self):
         _check_m(self.M)
@@ -69,8 +73,6 @@ class PipelineConfig:
         object.__setattr__(self, "grid", grid)
         if grid.ndim != 1 or grid.size < 9 or not np.all(np.diff(grid) > 0.0):
             raise DomainError("grid must be 1-D, strictly increasing, >= 9 points")
-        if not (isinstance(self.quad_points, (int, np.integer)) and self.quad_points >= 11):
-            raise DomainError(f"quad_points must be an integer >= 11, got {self.quad_points!r}")
         sd = sigma_M(self.spec, 1)
         slack = 1e-9 * sd
         if grid[0] > -8.0 * sd + slack or grid[-1] < 8.0 * sd - slack:
@@ -98,27 +100,6 @@ def _neg_mass_warnings(neg_mass):
     return ()
 
 
-def _gated_pdf(pdf_raw, grid):
-    """Clip the density at zero; drop it if clipping distorts its mass."""
-    cand = np.maximum(pdf_raw, 0.0)
-    mass = float(np.trapezoid(cand, grid))
-    if 0.998 <= mass <= 1.002:
-        return cand, ()
-    return None, (
-        f"density omitted: clipping its negative part leaves mass {mass:.4f}",
-    )
-
-
-def _repair(cdf, neg_mass):
-    tol = max(_BASE_REPAIR_TOL, 2.0 * neg_mass)
-    worst = float(np.max(-np.diff(cdf), initial=0.0))
-    if worst > tol:
-        raise NumericalError(
-            f"assembled CDF non-monotone by {worst:.3e} (tolerance {tol:.3e})"
-        )
-    return np.minimum(np.maximum.accumulate(np.maximum(cdf, 0.0)), 1.0), worst
-
-
 def _expansion_for(spec, m, n_order):
     # the cumulant builder starts at order 3; N = 2 needs none beyond that
     return build_expansion(cumulants(spec, m, max(n_order, 3)), n_order)
@@ -133,19 +114,13 @@ def _m1_table(cfg, sig):
     ex = _expansion_for(cfg.spec, 1, cfg.N)
     t = cfg.grid / sig
     neg_mass = negative_pdf_mass(ex)
-    cdf, worst = _repair(edgeworth_cdf(ex, t), neg_mass)
-    pdf, pdf_warn = _gated_pdf(edgeworth_pdf(ex, t) / sig, cfg.grid)
-    warnings = _neg_mass_warnings(neg_mass) + pdf_warn
-    return DistributionTable(
-        grid=cfg.grid,
-        cdf=cdf,
-        pdf=pdf,
-        warnings=warnings,
-        diagnostics={
-            "negative_tail_mass": neg_mass,
-            "monotone_violation": worst,
-            "tail_mass": 1.0,
-        },
+    return _finish_table(
+        cfg.grid,
+        edgeworth_cdf(ex, t),
+        edgeworth_pdf(ex, t) / sig,
+        _neg_mass_warnings(neg_mass),
+        {"tail_mass": 1.0, "negative_tail_mass": neg_mass},
+        tol=max(_REPAIR_TOL, 2.0 * neg_mass),
     )
 
 
@@ -167,18 +142,18 @@ def z_cdf(cfg):
         return _m1_table(cfg, sig)
     if sig < _POINT_MASS_EPS:
         head = invert_to_table(make_head_cf(cfg.spec, cfg.M), cfg.grid)
-        return DistributionTable(
-            grid=cfg.grid,
-            cdf=head.cdf,
-            pdf=head.pdf,
-            warnings=head.warnings,
-            diagnostics={**head.diagnostics, "tail_mass": 0.0},
-        )
+        diagnostics = {
+            "tail_mass": 0.0,
+            "negative_tail_mass": 0.0,
+            "monotone_violation": head.diagnostics["monotone_violation"],
+            "head_series_tail_mass": head.diagnostics["series_tail_mass"],
+        }
+        return replace(head, diagnostics=diagnostics)
 
     ex = _expansion_for(cfg.spec, cfg.M, cfg.N)
-    qp = int(cfg.quad_points)
-    y = np.linspace(-_TAIL_HALF_WIDTH * sig, _TAIL_HALF_WIDTH * sig, qp)
-    wf = _trapezoid_weights(qp, y[1] - y[0]) * (edgeworth_pdf(ex, y / sig) / sig)
+    y = np.linspace(-_TAIL_HALF_WIDTH * sig, _TAIL_HALF_WIDTH * sig, _QUAD_POINTS)
+    wf = _trapezoid_weights(_QUAD_POINTS, y[1] - y[0])
+    wf *= edgeworth_pdf(ex, y / sig) / sig
     tail_mass = float(np.sum(wf))
 
     head = _head_table(cfg, sig)
@@ -201,26 +176,18 @@ def z_cdf(cfg):
             pdf_raw[i0 : i0 + _GRID_CHUNK] = dens @ wf
 
     neg_mass = negative_pdf_mass(ex)
-    cdf, worst = _repair(cdf_raw, neg_mass)
-    pdf, pdf_warn = (None, ()) if pdf_raw is None else _gated_pdf(pdf_raw, cfg.grid)
-
-    warnings = head.warnings + _neg_mass_warnings(neg_mass) + pdf_warn
+    warnings = head.warnings + _neg_mass_warnings(neg_mass)
     if abs(tail_mass - 1.0) > _MASS_DEV_WARN:
         warnings += (
             f"tail density mass deviates from 1 by {tail_mass - 1.0:.2e}",
         )
-    return DistributionTable(
-        grid=cfg.grid,
-        cdf=cdf,
-        pdf=pdf,
-        warnings=warnings,
-        diagnostics={
-            "tail_mass": tail_mass,
-            "negative_tail_mass": neg_mass,
-            "monotone_violation": worst,
-            "head_series_tail_mass": head.diagnostics["series_tail_mass"],
-        },
-    )
+    diagnostics = {
+        "tail_mass": tail_mass,
+        "negative_tail_mass": neg_mass,
+        "head_series_tail_mass": head.diagnostics["series_tail_mass"],
+    }
+    tol = max(_REPAIR_TOL, 2.0 * neg_mass)
+    return _finish_table(cfg.grid, cdf_raw, pdf_raw, warnings, diagnostics, tol=tol)
 
 
 def m_robustness(cfg_base, ms):

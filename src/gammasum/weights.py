@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Union
+from typing import Union
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class PowerLawWeights:
 
     gamma: float
     scale: float
-    kind: ClassVar[str] = "power_law"
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0.5):
@@ -142,8 +141,6 @@ class ExplicitWeights:
     """Finite list lambda_1 >= lambda_2 >= ... > 0; zero beyond the list."""
 
     values: tuple
-
-    kind: ClassVar[str] = "explicit"
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)

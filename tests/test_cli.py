@@ -1,8 +1,8 @@
 """End-to-end tests of the command-line front end.
 
 Each command runs in-process through dispatch() against temporary files;
-one subprocess test checks the thread-cap environment hook, which must
-act before the numeric libraries load.
+subprocess tests check the module entry point and what `import gammasum`
+loads.
 """
 
 import contextlib
@@ -170,6 +170,18 @@ class TestEdgeworthCommand:
         x = np.linspace(-4.0, 4.0, 81)
         assert np.array_equal(data[:, 0], x)
         assert np.array_equal(data[:, 1], edgeworth_cdf(ex, x))
+
+    def test_non_finite_values_exit_3(self, tmp_path, capsys):
+        # the order-9 Hermite sum overflows at x = 1e15 and the PDF turns NaN
+        spec = tmp_path / "spec.json"
+        doc = {"r": 1.0, "weights": {"kind": "explicit", "values": [1.0]}}
+        spec.write_text(json.dumps(doc))
+        rc = dispatch(
+            ["edgeworth", "--spec", str(spec), "--M", "1", "--N", "9", "--grid=-1:1e15:2"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == "" and err.startswith("numerical failure:")
 
 
 class TestHeadCommand:
@@ -378,23 +390,6 @@ class TestReproduction:
 
 
 class TestThreadCapEnv:
-    def test_cap_applies_before_numeric_imports(self):
-        env = {
-            k: v
-            for k, v in os.environ.items()
-            if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-        }
-        env["GAMMASUM_MAX_THREADS"] = "2"
-        code = (
-            "import gammasum.cli, os; "
-            "print(os.environ.get('OMP_NUM_THREADS', 'unset'))"
-        )
-        res = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert res.returncode == 0
-        assert res.stdout.strip() == "2"
-
     def test_module_entry_point(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(SPEC_JSON))
@@ -405,6 +400,25 @@ class TestThreadCapEnv:
         )
         assert res.returncode == 0
         assert json.loads(res.stdout)["sigma_M"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestImportGuard:
+    def test_package_exports_resolve_without_mpmath(self):
+        code = (
+            "import sys, gammasum; "
+            "print([n for n in gammasum.__all__ if not hasattr(gammasum, n)], "
+            "'mpmath' in sys.modules)"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[] False"
+
+    def test_module_help_is_clean(self):
+        res = subprocess.run(
+            [sys.executable, "-m", "gammasum.cli", "--help"], capture_output=True, text=True
+        )
+        assert res.returncode == 0
+        assert res.stderr == ""
 
 
 # Spec documents for the fuzz test: a well-formed document for either weight
@@ -489,6 +503,42 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+# Grid options for the fuzz tests: lo:hi:n with at most 60 points, either
+# symmetric about 0 or with independent ends that may be reversed or equal.
+_GRIDS = st.one_of(
+    st.builds(
+        lambda half, n: f"--grid={-half!r}:{half!r}:{n}", _MAGNITUDES, st.integers(2, 60)
+    ),
+    st.builds(
+        lambda lo, hi, n: f"--grid={lo!r}:{hi!r}:{n}",
+        st.one_of(_MAGNITUDES.map(lambda v: -v), st.floats(-5.0, 5.0)),
+        st.one_of(_MAGNITUDES, st.floats(-5.0, 5.0)),
+        st.integers(1, 60),
+    ),
+)
+
+
+def _run_fuzzed(doc, args):
+    """(exit code, stdout, stderr) of one in-process run on spec ``doc``."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        args = [a.replace("{tmp}", tmp) for a in args]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = dispatch(args[:1] + ["--spec", path] + args[1:])
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _check_exit_contract(rc, err):
+    """Exit 0, 2 or 3, no traceback, and an error line exactly on failure."""
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert any(l.startswith(("error:", "numerical failure:")) for l in lines) == (rc != 0)
+
+
 class TestFuzz:
     @given(
         doc=spec_documents(),
@@ -497,16 +547,33 @@ class TestFuzz:
     )
     @settings(max_examples=150, deadline=None)
     def test_cumulants_exit_codes_and_strict_json(self, doc, m, k):
-        out, err = io.StringIO(), io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "spec.json")
-            with open(path, "w") as fh:
-                json.dump(doc, fh)
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                rc = dispatch(["cumulants", "--spec", path, "--M", str(m), "--K", str(k)])
-        assert rc in (0, 2, 3)
+        rc, out, err = _run_fuzzed(doc, ["cumulants", "--M", str(m), "--K", str(k)])
+        _check_exit_contract(rc, err)
         if rc == 0:
-            json.loads(out.getvalue(), parse_constant=_reject_constant)
+            json.loads(out, parse_constant=_reject_constant)
         else:
-            assert out.getvalue() == ""
-            assert err.getvalue() != ""
+            assert out == ""
+
+    @given(
+        doc=spec_documents(),
+        m=st.one_of(st.integers(1, 8), st.integers(0, 60)),
+        n=st.integers(1, 21),
+        grid=_GRIDS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_edgeworth_exit_codes(self, doc, m, n, grid):
+        rc, out, err = _run_fuzzed(doc, ["edgeworth", "--M", str(m), "--N", str(n), grid])
+        _check_exit_contract(rc, err)
+        if rc == 0:
+            data = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1, ndmin=2)
+            assert np.all(np.isfinite(data))
+
+    @given(
+        doc=spec_documents(),
+        m=st.one_of(st.integers(1, 8), st.integers(0, 60)),
+        grid=_GRIDS,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_head_exit_codes(self, doc, m, grid):
+        rc, _, err = _run_fuzzed(doc, ["head", "--M", str(m), grid, "--out", "{tmp}/h.csv"])
+        _check_exit_contract(rc, err)

@@ -208,6 +208,14 @@ class TestInversionSingleTerm:
         assert table.pdf is None
         assert any("density" in w for w in table.warnings)
 
+    @pytest.mark.parametrize("m,reason", [(2, "unbounded"), (3, "jump")])
+    def test_omission_warning_names_the_left_end_behaviour(self, m, reason):
+        # r = 1/2: r (M-1) is 1/2 at M = 2 and exactly 1 at M = 3
+        spec = reference_spec()
+        table = invert_to_table(make_head_cf(spec, m), default_grid(spec, m, 401))
+        assert table.pdf is None
+        assert any(reason in w for w in table.warnings)
+
     def test_left_of_support_is_zero(self):
         spec = reference_spec()
         grid = np.linspace(-0.9, 5.0, 801)
@@ -224,6 +232,17 @@ class TestInversionSingleTerm:
         assert np.max(np.abs(table.cdf - shifted_gamma_cdf(grid, lam, r))) < 1e-8
         assert table.pdf is not None
         assert np.max(np.abs(table.pdf - shifted_gamma_pdf(grid, lam, r))) < 1e-7
+
+    def test_coarse_grid_drops_density_keeps_cdf(self):
+        # 9 points cover the bulk of the CDF, but the trapezoid mass of the
+        # density is 0.85, so the density is omitted rather than the table
+        lam, r = 0.7, 2.0
+        spec = single_weight_spec(lam, r)
+        grid = np.linspace(-0.7, 3.2, 9)
+        table = invert_to_table(make_head_cf(spec, 2), grid)
+        assert table.pdf is None
+        assert any("density omitted" in w for w in table.warnings)
+        assert np.max(np.abs(table.cdf - shifted_gamma_cdf(grid, lam, r))) < 1e-8
 
     def test_refinement_diagnostic(self):
         spec = reference_spec()

@@ -45,7 +45,7 @@ def table_mean_var(tab):
 class TestPipelineConfig:
     def test_valid_config(self):
         cfg = PipelineConfig(spec=SPEC, M=5, N=3, grid=default_z_grid(SPEC, 801))
-        assert cfg.quad_points == 4001
+        assert cfg.grid.shape == (801,)
 
     def test_m_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -59,12 +59,6 @@ class TestPipelineConfig:
         # total sd is 1 for a normalized spec; +/- 6 is not enough
         with pytest.raises(DomainError):
             PipelineConfig(spec=SPEC, M=5, N=3, grid=np.linspace(-6.0, 6.0, 801))
-
-    def test_quad_points_positive(self):
-        with pytest.raises(DomainError):
-            PipelineConfig(
-                spec=SPEC, M=5, N=3, grid=default_z_grid(SPEC, 801), quad_points=0
-            )
 
     def test_default_grid_spans_eight_sd(self):
         g = default_z_grid(SPEC, 1001)
@@ -120,6 +114,28 @@ class TestPointMassTail:
         assert np.max(np.abs(tab.cdf - head.cdf)) == 0.0
 
 
+class TestDiagnostics:
+    # explicit weights (1, 0.7, 0.5, 0.3): M = 1 has an empty head, M = 3 a
+    # head and a tail, M = 5 a head and an exhausted tail
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_z_tables_share_one_key_set(self, m):
+        spec = GammaSumSpec(r=0.5, weights=ExplicitWeights((1.0, 0.7, 0.5, 0.3)))
+        sd = sigma_M(spec, 1)
+        grid = np.linspace(-8.5 * sd, 8.5 * sd, 1001)
+        tab = z_cdf(PipelineConfig(spec=spec, M=m, N=3, grid=grid))
+        want = {"tail_mass", "negative_tail_mass", "monotone_violation"}
+        if m >= 2:
+            want.add("head_series_tail_mass")
+        assert set(tab.diagnostics) == want
+        assert tab.diagnostics["tail_mass"] == (0.0 if m == 5 else pytest.approx(1.0))
+
+    def test_head_table_keys(self):
+        tab = invert_to_table(make_head_cf(SPEC, 5), default_z_grid(SPEC, 401))
+        assert set(tab.diagnostics) == {
+            "series_terms", "series_tail_mass", "monotone_violation"
+        }
+
+
 class TestConvolutionQuadrature:
     def test_against_adaptive_quadrature(self):
         """Fixed-rule convolution vs scipy.integrate.quad at spot checks."""
@@ -149,20 +165,13 @@ class TestConvolutionQuadrature:
             assert err < 1e-8
             assert tab.cdf[idx] == pytest.approx(val, abs=5e-7)
 
-    def test_refinement_stability(self):
+    def test_refinement_stability(self, monkeypatch):
         # doubling the quadrature node count moves the CDF by < 1e-6
-        grid = default_z_grid(SPEC, 401)
-        base = z_cdf(PipelineConfig(spec=SPEC, M=5, N=5, grid=grid))
-        fine = z_cdf(
-            PipelineConfig(spec=SPEC, M=5, N=5, grid=grid, quad_points=8001)
-        )
+        cfg = PipelineConfig(spec=SPEC, M=5, N=5, grid=default_z_grid(SPEC, 401))
+        base = z_cdf(cfg)
+        monkeypatch.setattr(pipeline_module, "_QUAD_POINTS", 8001)
+        fine = z_cdf(cfg)
         assert np.max(np.abs(base.cdf - fine.cdf)) < 1e-6
-
-    def test_even_quad_points_accepted(self):
-        grid = default_z_grid(SPEC, 401)
-        even = z_cdf(PipelineConfig(spec=SPEC, M=5, N=3, grid=grid, quad_points=4000))
-        odd = z_cdf(PipelineConfig(spec=SPEC, M=5, N=3, grid=grid, quad_points=4001))
-        assert np.max(np.abs(even.cdf - odd.cdf)) < 1e-8
 
 
 class TestTableQuality:
@@ -180,7 +189,7 @@ class TestTableQuality:
         assert "tail_mass" in tab.diagnostics
 
     def test_density_omitted_for_single_factor_head(self):
-        # M=2 at r=1/2 leaves a head CF with non-integrable modulus
+        # M=2 at r=1/2 leaves a head density unbounded at its left end
         tab = z_cdf(PipelineConfig(spec=SPEC, M=2, N=5, grid=default_z_grid(SPEC, 801)))
         assert tab.pdf is None
         assert any("density" in w for w in tab.warnings)
@@ -223,13 +232,11 @@ class TestMRobustness:
         cfg = PipelineConfig(spec=SPEC, M=5, N=5, grid=default_z_grid(SPEC, 401))
         assert m_robustness(cfg, [5, 10])[0] < 0.01
 
-    def test_higher_order_absorbs_truncation_better(self):
+    def test_higher_order_absorbs_truncation_better(self, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "_QUAD_POINTS", 2001)
         grid = default_z_grid(SPEC, 401)
         rob = {
-            n: m_robustness(
-                PipelineConfig(spec=SPEC, M=2, N=n, grid=grid, quad_points=2001),
-                [2, 20],
-            )[0]
+            n: m_robustness(PipelineConfig(spec=SPEC, M=2, N=n, grid=grid), [2, 20])[0]
             for n in (2, 5)
         }
         assert rob[5] <= rob[2]
