@@ -14,14 +14,17 @@ zeta(k) = sum_m m k_m - 1.  Differentiating term by term gives the matching
 density phi(x) (1 + sum c(k) H_{zeta+1}(x)).
 
 Hermite polynomials are the probabilists' family, H_{k+1} = x H_k - k H_{k-1}.
+The expansion adds up its term coefficients by Hermite degree once, and both
+sums are evaluated by ``numpy.polynomial.hermite_e.hermeval``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermeval
 from scipy import integrate, special
 
 from .cumulants import TailCumulants
@@ -30,8 +33,9 @@ from .errors import DomainError
 MAX_EXPANSION_ORDER = 20
 MAX_HERMITE_DEGREE = 50
 
-# enumerate_eta caps N at 20, so pdf evaluation never needs more than H_54.
-_MAX_INTERNAL_DEGREE = 64
+# phi and the Hermite sums are evaluated at x clipped to +-40: phi(+-40) is
+# exactly 0.0, so phi is unchanged and 0 * sum never makes a NaN
+_X_CLIP = 40.0
 
 # negative_pdf_mass integrates over [-12, 12] with this many Simpson nodes
 _NEG_MASS_HALF_WIDTH = 12.0
@@ -61,11 +65,21 @@ class IndexVector:
 
 @dataclass(frozen=True)
 class EdgeworthExpansion:
-    """Order-N expansion: terms are (index, coefficient, hermite_degree)."""
+    """Order-N expansion: terms are (index, coefficient, hermite_degree).
+
+    ``coef[d]`` is the sum of the coefficients of the degree-d terms.
+    """
 
     N: int
     terms: tuple
     cumulants: TailCumulants
+    coef: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        coef = np.zeros(1 + max((deg for _, _, deg in self.terms), default=0))
+        for _, c, deg in self.terms:
+            coef[deg] += c
+        object.__setattr__(self, "coef", coef)
 
 
 def enumerate_eta(n_order):
@@ -99,25 +113,10 @@ def enumerate_eta(n_order):
     return [IndexVector(N=n_order, k=k) for k in tuples]
 
 
-def _hermite_combination(coeff_by_degree, x):
-    """Evaluate sum_d c_d H_d(x) in one sweep of the three-term recurrence."""
-    max_deg = max(coeff_by_degree)
-    assert max_deg <= _MAX_INTERNAL_DEGREE
-    acc = np.zeros_like(x)
-    h_prev = np.zeros_like(x)
-    h_cur = np.ones_like(x)
-    for d in range(max_deg + 1):
-        c = coeff_by_degree.get(d)
-        if c is not None:
-            acc += c * h_cur
-        h_prev, h_cur = h_cur, x * h_cur - d * h_prev
-    return acc
-
-
 def hermite(k, x):
     """Probabilists' Hermite polynomial H_k(x), scalar or array.
 
-    Degrees up to 50 are supported; the recurrence loses no accuracy in that
+    Degrees up to 50 are supported; ``hermeval`` loses no accuracy in that
     range for the arguments of interest (|x| up to ~15).
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
@@ -127,7 +126,7 @@ def hermite(k, x):
             f"Hermite degree must be in [0, {MAX_HERMITE_DEGREE}], got {k}"
         )
     xa = np.asarray(x, dtype=float)
-    out = _hermite_combination({int(k): 1.0}, xa)
+    out = hermeval(xa, np.eye(k + 1)[k])
     return float(out) if xa.ndim == 0 else out
 
 
@@ -153,14 +152,6 @@ def build_expansion(tc, n_order):
     return EdgeworthExpansion(N=n_order, terms=tuple(terms), cumulants=tc)
 
 
-def _grouped_coefficients(expansion, shift):
-    by_degree = {}
-    for _, coeff, deg in expansion.terms:
-        d = deg + shift
-        by_degree[d] = by_degree.get(d, 0.0) + coeff
-    return by_degree
-
-
 def edgeworth_cdf(expansion, x):
     """CDF of the expansion: Phi(x) minus the Hermite correction.
 
@@ -168,22 +159,18 @@ def edgeworth_cdf(expansion, x):
     the tails and callers decide how to treat that.
     """
     xa = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-xa / _SQRT2)
-    if expansion.terms:
-        phi = np.exp(-0.5 * xa * xa) / _SQRT2PI
-        out = out - phi * _hermite_combination(_grouped_coefficients(expansion, 0), xa)
+    xc = np.clip(xa, -_X_CLIP, _X_CLIP)
+    phi = np.exp(-0.5 * xc * xc) / _SQRT2PI
+    out = 0.5 * special.erfc(-xa / _SQRT2) - phi * hermeval(xc, expansion.coef)
     return float(out) if xa.ndim == 0 else out
 
 
 def edgeworth_pdf(expansion, x):
     """Density of the expansion, the term-by-term derivative of the CDF."""
     xa = np.asarray(x, dtype=float)
-    phi = np.exp(-0.5 * xa * xa) / _SQRT2PI
-    if expansion.terms:
-        corr = _hermite_combination(_grouped_coefficients(expansion, 1), xa)
-        out = phi * (1.0 + corr)
-    else:
-        out = phi
+    xc = np.clip(xa, -_X_CLIP, _X_CLIP)
+    phi = np.exp(-0.5 * xc * xc) / _SQRT2PI
+    out = phi * hermeval(xc, np.concatenate(([1.0], expansion.coef)))
     return float(out) if xa.ndim == 0 else out
 
 

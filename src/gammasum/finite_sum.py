@@ -209,6 +209,9 @@ def invert_to_table(hcf, grid):
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise DomainError("grid must be 1-D and strictly increasing")
     lam = np.asarray(hcf.lam, dtype=float)
+    if not lam.all():
+        n = int(np.argmin(lam != 0.0)) + 1
+        raise NumericalError(f"head weight lambda_{n} underflows to 0")
     r = hcf.spec.r
     theta = lam / r
     theta_1 = float(theta.min())

@@ -14,8 +14,8 @@ functions) reduces to power sums of the weights
 which this module computes to near machine precision for two families:
 
 * ``PowerLawWeights``: lambda_n = C n^{-gamma} with gamma > 1/2 (square
-  summability).  Then S_k(M) = C^k sum_{n>=M} n^{-k gamma}, a Riemann zeta
-  tail, evaluated by direct summation plus an Euler-Maclaurin correction.
+  summability).  Then S_k(M) = C^k sum_{n>=M} n^{-k gamma}, the Hurwitz
+  zeta function zeta(k gamma, M), computed by ``scipy.special.zeta``.
 * ``ExplicitWeights``: a finite non-increasing list of positive weights;
   the sequence is exactly zero beyond the list, so all sums are finite.
 
@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, SpecFormatError
 
@@ -46,51 +47,17 @@ __all__ = [
     "spec_from_dict",
 ]
 
-# Euler-Maclaurin summation start, and the coefficient |B_10| / 10! of the
-# first correction term left out.
-_ZETA_CUTOFF = 50
-_LOG_B10_COEF = math.log(5.0 / 66.0 / 3628800.0)
-# the omitted term is kept below this fraction of the result, under half an
-# ulp, so the error is relative over all s > 1
-_ZETA_RTOL = 1e-17
-
 
 def _zeta_tail(s: float, start: int) -> float:
-    """sum_{n >= start} n^(-s) for s > 1.
+    """sum_{n >= start} n^(-s) for s > 1: the Hurwitz zeta function.
 
-    Direct summation up to N, then the Euler-Maclaurin expansion at N:
-    integral + N^(-s)/2 + Bernoulli derivative corrections B_2 through B_8.
-    The terms alternate and the remainder is smaller than the first omitted
-    term, (|B_10| / 10!) s (s+1) ... (s+8) N^(-s-9).  That term grows with s
-    at fixed N, so N starts at max(start, 50) and doubles until the term is
-    below 1e-17 of the result.  That holds for every start once
-    N >= max(50, 17 s), so the extra direct summation is O(s) terms.
+    scipy returns NaN instead of 0 once s exceeds about 2.5e13 and the sum
+    underflows (start >= 2); that NaN is mapped to 0.
     """
     if not s > 1.0:
         raise DomainError(f"zeta tail requires s > 1, got s = {s}")
-    lo, big = start, max(start, _ZETA_CUTOFF)
-    head = 0.0
-    while True:
-        if big > lo:
-            n = np.arange(lo, big, dtype=np.float64)
-            head += float(np.sum(n ** (-s)))
-        if big ** (1.0 - s) == 0.0:
-            return head  # the tail underflows
-        log_rise = math.lgamma(s + 9.0) - math.lgamma(s)
-        omitted = math.exp(_LOG_B10_COEF + log_rise - (s + 9.0) * math.log(big))
-        if omitted <= _ZETA_RTOL * (head + big ** (1.0 - s) / (s - 1.0)):
-            break
-        lo, big = big, 2 * big
-    tail = big ** (1.0 - s) / (s - 1.0) + 0.5 * big ** (-s)
-    fac = s * big ** (-s - 1.0)
-    tail += fac / 12.0
-    fac *= (s + 1.0) * (s + 2.0) / (big * big)
-    tail -= fac / 720.0
-    fac *= (s + 3.0) * (s + 4.0) / (big * big)
-    tail += fac / 30240.0
-    fac *= (s + 5.0) * (s + 6.0) / (big * big)
-    tail -= fac / 1209600.0
-    return head + tail
+    out = float(special.zeta(s, start))
+    return 0.0 if math.isnan(out) else out
 
 
 def zeta(s: float) -> float:

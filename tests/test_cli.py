@@ -13,8 +13,8 @@ import os
 import subprocess
 import sys
 import tempfile
-
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -171,8 +171,22 @@ class TestEdgeworthCommand:
         assert np.array_equal(data[:, 0], x)
         assert np.array_equal(data[:, 1], edgeworth_cdf(ex, x))
 
-    def test_non_finite_values_exit_3(self, tmp_path, capsys):
-        # the order-9 Hermite sum overflows at x = 1e15 and the PDF turns NaN
+    def test_non_finite_values_exit_3(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.json"
+        doc = {"r": 1.0, "weights": {"kind": "explicit", "values": [1.0]}}
+        spec.write_text(json.dumps(doc))
+        monkeypatch.setattr(
+            "gammasum.cli.edgeworth_pdf", lambda ex, x: np.full_like(x, np.nan)
+        )
+        rc = dispatch(
+            ["edgeworth", "--spec", str(spec), "--M", "1", "--N", "9", "--grid=-1:1e15:2"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == "" and err.startswith("numerical failure:")
+
+    def test_huge_grid_point_is_exact(self, tmp_path, capsys):
+        # phi(1e15) is 0, so the order-9 correction must vanish, not make NaN
         spec = tmp_path / "spec.json"
         doc = {"r": 1.0, "weights": {"kind": "explicit", "values": [1.0]}}
         spec.write_text(json.dumps(doc))
@@ -180,8 +194,9 @@ class TestEdgeworthCommand:
             ["edgeworth", "--spec", str(spec), "--M", "1", "--N", "9", "--grid=-1:1e15:2"]
         )
         out, err = capsys.readouterr()
-        assert rc == 3
-        assert out == "" and err.startswith("numerical failure:")
+        assert rc == 0 and err == ""
+        data = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        assert data[1].tolist() == [1e15, 1.0, 0.0]
 
 
 class TestHeadCommand:
@@ -255,6 +270,22 @@ class TestHeadCommand:
         assert rc == 3
         assert "terms" in capsys.readouterr().err
         assert elapsed < 1.0
+
+    def test_underflowed_weight_is_named(self, tmp_path, capsys):
+        # lambda_2 = 2^-10000 underflows to 0, and the mixture takes its log
+        spec = tmp_path / "steep.json"
+        spec.write_text(json.dumps(
+            {"r": 1.0, "weights": {"kind": "power_law", "gamma": 1e4, "scale": 1.0}}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = dispatch(
+                ["head", "--spec", str(spec), "--M", "3", "--grid=-2:2:101",
+                 "--out", str(tmp_path / "steep.csv")]
+            )
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.splitlines() == ["numerical failure: head weight lambda_2 underflows to 0"]
 
 
 class TestMcAndValidate:

@@ -8,12 +8,13 @@ finite differences for the CDF/PDF relation.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from gammasum.cumulants import TailCumulants, cumulants
 from gammasum.edgeworth import (
@@ -66,6 +67,14 @@ def eval_hermite_exact(k, x):
     # float for k ~ 50, so the oracle must not be evaluated there
     xf = Fraction(x)
     return float(sum(c * xf**p for p, c in enumerate(hermite_coeffs(k))))
+
+
+def hermite_rows(n, x):
+    """H_0(x) .. H_n(x) by the three-term recurrence, one row per degree."""
+    rows = [np.ones_like(x), x]
+    for k in range(1, n):
+        rows.append(x * rows[k] - k * rows[k - 1])
+    return np.array(rows)
 
 
 def reference_cumulants(m=10, K=6):
@@ -296,6 +305,36 @@ class TestEvaluation:
         assert np.min(np.diff(f)) > -1e-5
         bulk = np.linspace(-3, 3, 601)
         assert np.all(np.diff(edgeworth_cdf(exp, bulk)) > 0)
+
+    def test_coefficient_vector_matches_term_sums(self):
+        # the expansion sums its coefficients by degree once; that must equal
+        # the term-by-term sums.  N = 20 needs H_54, beyond hermite()'s
+        # degree cap, so the oracle runs the recurrence itself.
+        tc = reference_cumulants(m=10, K=20)
+        x = np.linspace(-8.0, 8.0, 1601)
+        h = hermite_rows(55, x)
+        phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        for n in range(3, 21):
+            exp = build_expansion(tc, n)
+            cdf_sum = sum(c * h[deg] for _, c, deg in exp.terms)
+            pdf_sum = sum(c * h[deg + 1] for _, c, deg in exp.terms)
+            np.testing.assert_allclose(
+                edgeworth_cdf(exp, x), special.ndtr(x) - phi * cdf_sum, rtol=0, atol=1e-13
+            )
+            np.testing.assert_allclose(
+                edgeworth_pdf(exp, x), phi * (1.0 + pdf_sum), rtol=0, atol=1e-13
+            )
+
+    def test_huge_arguments_are_exact(self):
+        # phi underflows to 0 long before the degree-54 Hermite sum overflows
+        exp = build_expansion(reference_cumulants(m=10, K=20), 20)
+        x = np.array([-1e15, -1e6, 1e6, 1e15])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = edgeworth_cdf(exp, x)
+            pdf = edgeworth_pdf(exp, x)
+        assert cdf.tolist() == [0.0, 0.0, 1.0, 1.0]
+        assert pdf.tolist() == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestQualityDiagnostics:

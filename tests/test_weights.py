@@ -46,16 +46,22 @@ class TestZeta:
         # Apery's constant, standard reference value.
         assert zeta(3.0) == pytest.approx(1.2020569031595943, abs=1e-13)
 
-    @pytest.mark.parametrize("m", [1, 2, 49, 50, 51, 500])
+    @pytest.mark.parametrize("m", [1, 2, 49, 50, 51, 500, 4097])
     def test_hurwitz_tail_relative_error_against_mpmath(self, m):
-        # the Euler-Maclaurin cutoff must keep the error relative as s grows;
-        # mpmath cancels about s log10(m) digits, hence the working precision
+        # the error must stay relative as s grows; m = 4097 is where the
+        # sampler's term count evaluates sigma_M.  mpmath cancels about
+        # s log10(m) digits, hence the working precision
         for s in np.concatenate([np.linspace(1.001, 60.0, 60), [1.0001, 12.0, 30.0]]):
             s = float(s)
             with mpmath.workdps(30 + math.ceil(s * math.log10(m + 1))):
                 want = mpmath.zeta(s, m)
                 rel = float(abs(_zeta_tail(s, m) - want) / want)
             assert rel <= 1e-14, (s, m, rel)
+
+    def test_underflowed_tail_is_zero(self):
+        # scipy's Hurwitz zeta gives NaN here, where the sum underflows
+        assert _zeta_tail(1e14, 2) == 0.0
+        assert _zeta_tail(1e14, 1) == 1.0
 
     def test_large_s_approaches_one(self):
         assert zeta(30.0) == pytest.approx(1.0 + 2.0**-30, rel=1e-9)
