@@ -3,16 +3,18 @@
 Subcommands: cumulants, edgeworth, head, zdist, mc, validate, repro-sec6.
 Model specs travel as JSON ({"r": ..., "weights": {...}}), tables as CSV
 with a header row and full round-trip precision, samples as raw
-little-endian 64-bit floats.  Every output file gets a sibling
-<name>.manifest.json recording the command, resolved configuration,
-library version, and warnings; re-running with the same configuration
-reproduces the artifact bit for bit.
+little-endian 64-bit floats.  Every output file except the zdist summary
+gets a sibling <name>.manifest.json recording the command, resolved
+configuration, library version, and warnings; re-running with the same
+configuration reproduces the artifact bit for bit.  Without --out,
+cumulants and edgeworth print their result instead, with no manifest.
 
 Exit codes: 0 on success, 2 for usage errors and bad inputs, 3 when a
 computation fails its accuracy checks, overflows, or yields a NaN or inf.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -22,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .cumulants import be_condition_ratio, berry_esseen_bound, cumulants, sigma_M
-from .edgeworth import build_expansion, edgeworth_cdf, edgeworth_pdf
+from .edgeworth import edgeworth_cdf, edgeworth_pdf
 from .errors import DomainError, NumericalError, SpecFormatError
 from .finite_sum import DistributionTable, invert_to_table, make_head_cf
-from .mc_oracle import SampleBatch, ks_distance, sample_z
-from .pipeline import PipelineConfig, m_robustness, z_cdf
+from .mc_oracle import _MODES, SampleBatch, ks_distance, sample_z
+from .pipeline import PipelineConfig, _expansion_for, m_robustness, z_cdf
 from .weights import make_power_law_normalized, spec_from_dict, spec_to_dict
 
 _REFERENCE_C = 0.4375
@@ -50,19 +52,11 @@ def _parse_grid(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"grid must be lo:hi:n with numeric parts: {exc}") from exc
-    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise DomainError(f"grid needs finite lo < hi, got {text!r}")
+    if not (lo < hi and np.isfinite(hi - lo)):
+        raise DomainError(f"grid needs lo < hi with a finite span hi - lo, got {text!r}")
     if n < 2:
         raise DomainError(f"grid needs at least 2 points, got {n}")
     return np.linspace(lo, hi, n)
-
-
-def _write_csv(path, cols):
-    header = ",".join(name for name, _ in cols)
-    data = np.column_stack([np.asarray(c, dtype=float) for _, c in cols])
-    if not np.all(np.isfinite(data)):
-        raise NumericalError("non-finite value in the output table")
-    np.savetxt(path, data, delimiter=",", fmt="%.17g", header=header, comments="")
 
 
 def _json_text(doc):
@@ -73,10 +67,15 @@ def _json_text(doc):
         raise NumericalError(f"non-finite result {doc}") from exc
 
 
-def _write_json(path, doc):
-    text = _json_text(doc)
-    with open(path, "w") as fh:
-        fh.write(text)
+def _csv_text(cols):
+    """Header row plus %.17g rows; a NaN or infinity is a numerical failure."""
+    header = ",".join(name for name, _ in cols)
+    data = np.column_stack([np.asarray(c, dtype=float) for _, c in cols])
+    if not np.all(np.isfinite(data)):
+        raise NumericalError("non-finite value in the output table")
+    buf = io.StringIO()
+    np.savetxt(buf, data, delimiter=",", fmt="%.17g", header=header, comments="")
+    return buf.getvalue()
 
 
 def _write_manifest(out_path, command, argv, config, warnings=()):
@@ -88,15 +87,22 @@ def _write_manifest(out_path, command, argv, config, warnings=()):
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "warnings": list(warnings),
     }
-    _write_json(f"{out_path}.manifest.json", doc)
+    _emit(f"{out_path}.manifest.json", doc)
 
 
-def _emit_json(doc, out, command, argv, config, warnings=()):
-    if out:
-        _write_json(out, doc)
-        _write_manifest(out, command, argv, config, warnings)
-    else:
-        sys.stdout.write(_json_text(doc))
+def _emit(out, payload, *manifest):
+    """Write ``payload``, a JSON document (dict) or a table given as (name,
+    column) pairs, to the file ``out`` or, when ``out`` is None, to stdout.
+    A file gets a sibling manifest when ``manifest`` holds its command, argv,
+    config and optional warnings.  Nothing is written if the payload fails."""
+    text = _json_text(payload) if isinstance(payload, dict) else _csv_text(payload)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w") as fh:
+        fh.write(text)
+    if manifest:
+        _write_manifest(out, *manifest)
 
 
 def _table_columns(tab):
@@ -145,29 +151,24 @@ def _cmd_cumulants(args, argv):
         "be_ratio": be_condition_ratio(spec, args.M),
     }
     config = {"spec": spec_to_dict(spec), "M": args.M, "K": args.K}
-    _emit_json(doc, args.out, "cumulants", argv, config)
+    _emit(args.out, doc, "cumulants", argv, config)
 
 
 def _cmd_edgeworth(args, argv):
     spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
-    ex = build_expansion(cumulants(spec, args.M, max(args.N, 3)), args.N)
+    ex = _expansion_for(spec, args.M, args.N)
     cols = [("x", grid), ("cdf", edgeworth_cdf(ex, grid)), ("pdf", edgeworth_pdf(ex, grid))]
     config = {"spec": spec_to_dict(spec), "M": args.M, "N": args.N, "grid": args.grid}
-    if args.out:
-        _write_csv(args.out, cols)
-        _write_manifest(args.out, "edgeworth", argv, config)
-    else:
-        _write_csv(sys.stdout, cols)
+    _emit(args.out, cols, "edgeworth", argv, config)
 
 
 def _cmd_head(args, argv):
     spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
     tab = invert_to_table(make_head_cf(spec, args.M), grid)
-    _write_csv(args.out, _table_columns(tab))
     config = {"spec": spec_to_dict(spec), "M": args.M, "grid": args.grid}
-    _write_manifest(args.out, "head", argv, config, tab.warnings)
+    _emit(args.out, _table_columns(tab), "head", argv, config, tab.warnings)
 
 
 def _cmd_zdist(args, argv):
@@ -181,7 +182,6 @@ def _cmd_zdist(args, argv):
             raise DomainError(f"--robustness must be comma-separated integers: {exc}")
         robustness, tables = m_robustness(cfg, ms)
     tab = tables.get(args.M) or z_cdf(cfg)
-    _write_csv(args.out, _table_columns(tab))
 
     ks = None
     if args.mc:
@@ -193,8 +193,6 @@ def _cmd_zdist(args, argv):
         "robustness": robustness,
         "warnings": list(tab.warnings),
     }
-    base = args.out[:-4] if args.out.endswith(".csv") else args.out
-    _write_json(f"{base}.summary.json", summary)
     config = {
         "spec": spec_to_dict(spec),
         "M": args.M,
@@ -203,7 +201,9 @@ def _cmd_zdist(args, argv):
         "robustness": args.robustness,
         "mc": args.mc,
     }
-    _write_manifest(args.out, "zdist", argv, config, tab.warnings)
+    _emit(args.out, _table_columns(tab), "zdist", argv, config, tab.warnings)
+    base = args.out[:-4] if args.out.endswith(".csv") else args.out
+    _emit(f"{base}.summary.json", summary)
 
 
 def _cmd_mc(args, argv):
@@ -226,7 +226,7 @@ def _cmd_validate(args, argv):
     tab = _read_table_csv(args.table)
     batch = _load_samples(args.samples)
     ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
-    _emit_json({"ks": ks, "n_samples": batch.n_samples}, None, "validate", argv, {})
+    _emit(None, {"ks": ks, "n_samples": batch.n_samples})
 
 
 def _cmd_repro(args, argv):
@@ -252,8 +252,7 @@ def _cmd_repro(args, argv):
     }
 
     spec_path = os.path.join(args.outdir, "spec.json")
-    _write_json(spec_path, spec_to_dict(spec))
-    _write_manifest(spec_path, "repro-sec6", argv, config)
+    _emit(spec_path, spec_to_dict(spec), "repro-sec6", argv, config)
 
     base = PipelineConfig(spec=spec, M=ms[0], N=5, grid=grid)
     robustness, tables = m_robustness(base, ms)
@@ -261,8 +260,7 @@ def _cmd_repro(args, argv):
     for m, tab in tables.items():
         warnings[str(m)] = list(tab.warnings)
         path = os.path.join(args.outdir, f"z_M{m}.csv")
-        _write_csv(path, _table_columns(tab))
-        _write_manifest(path, "repro-sec6", argv, {**config, "M": m}, tab.warnings)
+        _emit(path, _table_columns(tab), "repro-sec6", argv, {**config, "M": m}, tab.warnings)
 
     summary = {
         "C": c_value,
@@ -274,9 +272,7 @@ def _cmd_repro(args, argv):
         "grid": grid_text,
         "warnings": warnings,
     }
-    summary_path = os.path.join(args.outdir, "summary.json")
-    _write_json(summary_path, summary)
-    _write_manifest(summary_path, "repro-sec6", argv, config)
+    _emit(os.path.join(args.outdir, "summary.json"), summary, "repro-sec6", argv, config)
 
 
 def _build_parser():
@@ -320,7 +316,7 @@ def _build_parser():
 
     p = sub.add_parser("mc", help="draw Monte-Carlo samples of Z")
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=("truncate", "normal_tail"), required=True)
+    p.add_argument("--mode", choices=_MODES, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)

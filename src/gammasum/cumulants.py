@@ -63,19 +63,20 @@ class TailCumulants:
         return len(self.kappa) + 1
 
 
-def _tail_s2(spec: GammaSumSpec, m: int) -> float:
-    s2 = tail_power_sum(spec, m, 2)
-    if s2 <= 0.0:
-        raise DegenerateTailError(
-            f"weight tail is empty at M = {m}; sigma_M = 0 and the normalized "
-            f"tail is undefined"
-        )
-    return s2
+def _tail_sd(spec: GammaSumSpec, m: int) -> float:
+    """sqrt((1/r) sum_{n>=M} lambda_n^2), which is 0.0 for an empty tail."""
+    return math.sqrt(tail_power_sum(spec, m, 2) / spec.r)
 
 
 def sigma_M(spec: GammaSumSpec, m: int) -> float:
     """Standard deviation of Y_M: sqrt((1/r) sum_{n>=M} lambda_n^2)."""
-    return math.sqrt(_tail_s2(spec, m) / spec.r)
+    sig = _tail_sd(spec, m)
+    if sig == 0.0:
+        raise DegenerateTailError(
+            f"weight tail is empty at M = {m}; sigma_M = 0 and the normalized "
+            f"tail is undefined"
+        )
+    return sig
 
 
 def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
@@ -114,8 +115,8 @@ def berry_esseen_bound(spec: GammaSumSpec, m: int) -> float:
 
 def be_condition_ratio(spec: GammaSumSpec, m: int) -> float:
     """S_3(M) / S_2(M)^{3/2}; asymptotic normality needs this to tend to 0."""
-    s2 = _tail_s2(spec, m)
-    return tail_power_sum(spec, m, 3) / s2**1.5
+    sigma_M(spec, m)  # an empty tail has no ratio
+    return tail_power_sum(spec, m, 3) / tail_power_sum(spec, m, 2) ** 1.5
 
 
 def support_lower_bound(spec: GammaSumSpec, m: int) -> float:

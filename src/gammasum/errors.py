@@ -5,10 +5,9 @@ model's domain).  DegenerateTailError is the specific case of an exhausted
 weight sequence, where sigma_M = 0 and the normalized tail is undefined;
 SpecFormatError the case of a malformed spec document.
 NumericalError signals that a numerical routine could not reach its stated
-tolerance; it carries the achieved tolerance when known.
+tolerance, overflowed, or produced a non-finite value; its message quotes
+the offending number.
 """
-
-from __future__ import annotations
 
 
 class GammaSumError(Exception):
@@ -29,7 +28,3 @@ class SpecFormatError(DomainError):
 
 class NumericalError(GammaSumError, ArithmeticError):
     """A numerical routine failed to meet its accuracy contract."""
-
-    def __init__(self, message: str, achieved_tol: float | None = None):
-        super().__init__(message)
-        self.achieved_tol = achieved_tol

@@ -140,8 +140,9 @@ def _mixture_weights(theta, r):
     b_min = math.exp(float(log_b.min()))
     rho = (c / c_max)[:, None]
     w = b_min * np.logspace(-16.0, 0.0, 161)[:-1]
-    # b_min underflows to 0, and K is infinite, once the weights span 1e308
-    with np.errstate(divide="ignore"):
+    # K is infinite once b_min underflows to 0 (the weights span 1e308) or
+    # the bound's exponent overflows
+    with np.errstate(divide="ignore", over="ignore"):
         log_pt = r * (log_b[:, None] - np.log((1.0 - rho) + rho * w)).sum(axis=0)
         log_t = np.log1p(-w) - math.log1p(-b_min)
         need = float(np.min((log_pt - math.log(_TAIL_EPS)) / log_t))
@@ -178,7 +179,8 @@ def _finish_table(grid, cdf, pdf, warnings, diagnostics, tol=_REPAIR_TOL):
     cdf = np.minimum(np.maximum.accumulate(np.maximum(cdf, 0.0)), 1.0)
     if pdf is not None:
         pdf = np.maximum(pdf, 0.0)
-        mass = float(np.trapezoid(pdf, grid))
+        with np.errstate(over="ignore"):
+            mass = float(np.trapezoid(pdf, grid))
         if not 0.998 <= mass <= 1.002:
             pdf = None
             warnings += (
@@ -209,11 +211,16 @@ def invert_to_table(hcf, grid):
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise DomainError("grid must be 1-D and strictly increasing")
     lam = np.asarray(hcf.lam, dtype=float)
-    if not lam.all():
-        n = int(np.argmin(lam != 0.0)) + 1
-        raise NumericalError(f"head weight lambda_{n} underflows to 0")
     r = hcf.spec.r
-    theta = lam / r
+    with np.errstate(over="ignore"):
+        theta = lam / r
+    for bad, what in (
+        (lam == 0.0, "head weight lambda_{} underflows to 0"),
+        (theta == 0.0, "head gamma scale lambda_{} / r underflows to 0"),
+        (np.isinf(theta), "head gamma scale lambda_{} / r overflows"),
+    ):
+        if bad.any():
+            raise NumericalError(what.format(int(np.argmax(bad)) + 1))
     theta_1 = float(theta.min())
     big_r = r * lam.size
     with_pdf = big_r > 1.0
@@ -221,18 +228,23 @@ def invert_to_table(hcf, grid):
     p, tail = _mixture_weights(theta, r)
     a = (big_r + np.arange(p.size))[:, None]
     log_gamma_a = special.gammaln(a)
+    if not np.isfinite(log_gamma_a).all():
+        raise NumericalError(f"gamma exponent r (M-1) = {big_r:g} overflows log Gamma")
 
-    cdf = np.zeros(grid.size)
     pdf = np.zeros(grid.size) if with_pdf else None
-    q = grid + lam.sum()
-    pos = np.nonzero(q > 0.0)[0]
-    step = max(1, _BLOCK // p.size)
-    for i0 in range(0, pos.size, step):
-        idx = pos[i0 : i0 + step]
-        y = q[idx] / theta_1
-        cdf[idx] = p @ special.gammainc(a, y)
-        if with_pdf:
-            pdf[idx] = p @ np.exp((a - 1.0) * np.log(y) - y - log_gamma_a) / theta_1
+    # a tiny theta_1 can overflow y (past the support: CDF 1, density 0) and
+    # the density, which the mass gate then omits
+    with np.errstate(over="ignore"):
+        y_all = (grid + lam.sum()) / theta_1
+        cdf = np.where(y_all == np.inf, 1.0, 0.0)
+        pos = np.nonzero((y_all > 0.0) & (y_all < np.inf))[0]
+        step = max(1, _BLOCK // p.size)
+        for i0 in range(0, pos.size, step):
+            idx = pos[i0 : i0 + step]
+            y = y_all[idx]
+            cdf[idx] = p @ special.gammainc(a, y)
+            if with_pdf:
+                pdf[idx] = p @ np.exp((a - 1.0) * np.log(y) - y - log_gamma_a) / theta_1
 
     warnings = () if with_pdf else (
         f"density omitted: total gamma exponent r (M-1) = {big_r:g} makes it "

@@ -193,8 +193,7 @@ def cumulant_via_integral(spec, m, k):
     achieved = err_near + err_far
     if not math.isfinite(achieved) or achieved > 1e-9:
         raise NumericalError(
-            f"cumulant quadrature reached only {achieved:.3e} absolute error",
-            achieved_tol=achieved,
+            f"cumulant quadrature reached only {achieved:.3e} absolute error"
         )
     return near + far
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cumulants import sigma_M
+from .cumulants import _tail_sd, sigma_M
 from .errors import DomainError
 from .weights import PowerLawWeights, _check_m
 
@@ -55,9 +55,11 @@ def _check_mode(mode):
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
 
 
-def _check_n_samples(n_samples):
+def _check_draws(n_samples, seed):
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
         raise DomainError(f"n_samples must be a positive integer, got {n_samples!r}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _default_terms(spec, start):
@@ -75,13 +77,6 @@ def _default_terms(spec, start):
         else:
             lo = mid + 1
     return lo
-
-
-def _neglected_sigma(spec, first_neglected):
-    if not isinstance(spec.weights, PowerLawWeights):
-        if first_neglected > len(spec.weights.values):
-            return 0.0
-    return sigma_M(spec, first_neglected)
 
 
 def _draw_weighted_sums(lam, r, tail_sd, n_samples, seed):
@@ -108,9 +103,9 @@ def _sample(spec, start, n_terms, mode, n_samples, seed):
     """Batch of sum lambda_n (eta_n - 1) over ``n_terms`` indices from
     ``start``; normal_tail mode adds a normal draw carrying the sd of the
     neglected rest of the series, exact mode neglects nothing."""
-    _check_n_samples(n_samples)
+    _check_draws(n_samples, seed)
     lam = spec.weights.head(start + n_terms)[start - 1 :]
-    neglected = 0.0 if mode == "exact" else _neglected_sigma(spec, start + lam.size)
+    neglected = 0.0 if mode == "exact" else _tail_sd(spec, start + lam.size)
     tail_sd = neglected if mode == "normal_tail" else 0.0
     return SampleBatch(
         values=_draw_weighted_sums(lam, spec.r, tail_sd, n_samples, seed),

@@ -13,7 +13,9 @@ kills the boundary terms in the Euler-Maclaurin expansion, so the rule
 converges much faster than its nominal order (doubling the nodes moves
 the result by ~1e-9).
 The head CDF enters through a monotone cubic interpolant of a dense
-head table, so each output point costs one weighted dot product.
+head table, so each output point costs one weighted dot product.  That
+table spans the output grid widened by the tail window, so every node
+difference x - y lands inside it and no value is extrapolated.
 One caveat: a head whose density is unbounded or jumps at its left end
 (total gamma exponent r (M-1) <= 1) puts a kink into the integrand and
 drags the rule back to ~h^1.5, about 1e-5 at this node count; refinement
@@ -41,9 +43,9 @@ from itertools import combinations
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .cumulants import cumulants, sigma_M
+from .cumulants import _tail_sd, cumulants, sigma_M
 from .edgeworth import build_expansion, edgeworth_cdf, edgeworth_pdf, negative_pdf_mass
-from .errors import DegenerateTailError, DomainError
+from .errors import DomainError
 from .finite_sum import _REPAIR_TOL, _finish_table, invert_to_table, make_head_cf
 from .weights import GammaSumSpec, _check_m
 
@@ -94,34 +96,9 @@ def _trapezoid_weights(n, h):
     return w
 
 
-def _neg_mass_warnings(neg_mass):
-    if neg_mass > _NEG_MASS_WARN:
-        return (f"tail expansion carries negative density mass {neg_mass:.2e}",)
-    return ()
-
-
 def _expansion_for(spec, m, n_order):
     # the cumulant builder starts at order 3; N = 2 needs none beyond that
     return build_expansion(cumulants(spec, m, max(n_order, 3)), n_order)
-
-
-def _clamped_eval(interp, x, lo, hi, left, right):
-    out = interp(np.clip(x, lo, hi))
-    return np.where(x < lo, left, np.where(x > hi, right, out))
-
-
-def _m1_table(cfg, sig):
-    ex = _expansion_for(cfg.spec, 1, cfg.N)
-    t = cfg.grid / sig
-    neg_mass = negative_pdf_mass(ex)
-    return _finish_table(
-        cfg.grid,
-        edgeworth_cdf(ex, t),
-        edgeworth_pdf(ex, t) / sig,
-        _neg_mass_warnings(neg_mass),
-        {"tail_mass": 1.0, "negative_tail_mass": neg_mass},
-        tol=max(_REPAIR_TOL, 2.0 * neg_mass),
-    )
 
 
 def _head_table(cfg, sig):
@@ -132,15 +109,34 @@ def _head_table(cfg, sig):
     return invert_to_table(make_head_cf(cfg.spec, cfg.M), np.linspace(lo, hi, n))
 
 
+def _convolve(cfg, ex, sig):
+    """(head table, tail mass, CDF, PDF or None): the head table convolved
+    with the tail density on the trapezoid nodes."""
+    y = np.linspace(-_TAIL_HALF_WIDTH * sig, _TAIL_HALF_WIDTH * sig, _QUAD_POINTS)
+    wf = _trapezoid_weights(_QUAD_POINTS, y[1] - y[0])
+    wf *= edgeworth_pdf(ex, y / sig) / sig
+    head = _head_table(cfg, sig)
+    f_interp = PchipInterpolator(head.grid, head.cdf, extrapolate=True)
+    p_interp = (
+        PchipInterpolator(head.grid, head.pdf, extrapolate=True)
+        if head.pdf is not None
+        else None
+    )
+    cdf = np.empty(cfg.grid.size)
+    pdf = np.empty(cfg.grid.size) if p_interp is not None else None
+    for i0 in range(0, cfg.grid.size, _GRID_CHUNK):
+        # monotone rounding keeps x in the head grid [grid[0] - y[-1], grid[-1] - y[0]]
+        x = cfg.grid[i0 : i0 + _GRID_CHUNK, None] - y[None, :]
+        cdf[i0 : i0 + _GRID_CHUNK] = f_interp(x) @ wf
+        if p_interp is not None:
+            pdf[i0 : i0 + _GRID_CHUNK] = p_interp(x) @ wf
+    return head, float(np.sum(wf)), cdf, pdf
+
+
 def z_cdf(cfg):
     """Tabulate F_Z on the configured grid; PDF included when the head has one."""
-    try:
-        sig = sigma_M(cfg.spec, cfg.M)
-    except DegenerateTailError:
-        sig = 0.0
-    if cfg.M == 1:
-        return _m1_table(cfg, sig)
-    if sig < _POINT_MASS_EPS:
+    sig = _tail_sd(cfg.spec, cfg.M)
+    if cfg.M > 1 and sig < _POINT_MASS_EPS:
         head = invert_to_table(make_head_cf(cfg.spec, cfg.M), cfg.grid)
         diagnostics = {
             "tail_mass": 0.0,
@@ -151,43 +147,22 @@ def z_cdf(cfg):
         return replace(head, diagnostics=diagnostics)
 
     ex = _expansion_for(cfg.spec, cfg.M, cfg.N)
-    y = np.linspace(-_TAIL_HALF_WIDTH * sig, _TAIL_HALF_WIDTH * sig, _QUAD_POINTS)
-    wf = _trapezoid_weights(_QUAD_POINTS, y[1] - y[0])
-    wf *= edgeworth_pdf(ex, y / sig) / sig
-    tail_mass = float(np.sum(wf))
-
-    head = _head_table(cfg, sig)
-    f_interp = PchipInterpolator(head.grid, head.cdf, extrapolate=True)
-    p_interp = (
-        PchipInterpolator(head.grid, head.pdf, extrapolate=True)
-        if head.pdf is not None
-        else None
-    )
-    h_lo, h_hi = head.grid[0], head.grid[-1]
-
-    cdf_raw = np.empty(cfg.grid.size)
-    pdf_raw = np.empty(cfg.grid.size) if p_interp is not None else None
-    for i0 in range(0, cfg.grid.size, _GRID_CHUNK):
-        x = cfg.grid[i0 : i0 + _GRID_CHUNK, None] - y[None, :]
-        vals = _clamped_eval(f_interp, x, h_lo, h_hi, head.cdf[0], head.cdf[-1])
-        cdf_raw[i0 : i0 + _GRID_CHUNK] = vals @ wf
-        if p_interp is not None:
-            dens = _clamped_eval(p_interp, x, h_lo, h_hi, 0.0, 0.0)
-            pdf_raw[i0 : i0 + _GRID_CHUNK] = dens @ wf
-
+    if cfg.M == 1:
+        t = cfg.grid / sig
+        cdf, pdf = edgeworth_cdf(ex, t), edgeworth_pdf(ex, t) / sig
+        warnings, tail_mass, head_part = (), 1.0, {}
+    else:
+        head, tail_mass, cdf, pdf = _convolve(cfg, ex, sig)
+        warnings = head.warnings
+        head_part = {"head_series_tail_mass": head.diagnostics["series_tail_mass"]}
     neg_mass = negative_pdf_mass(ex)
-    warnings = head.warnings + _neg_mass_warnings(neg_mass)
+    if neg_mass > _NEG_MASS_WARN:
+        warnings += (f"tail expansion carries negative density mass {neg_mass:.2e}",)
     if abs(tail_mass - 1.0) > _MASS_DEV_WARN:
-        warnings += (
-            f"tail density mass deviates from 1 by {tail_mass - 1.0:.2e}",
-        )
-    diagnostics = {
-        "tail_mass": tail_mass,
-        "negative_tail_mass": neg_mass,
-        "head_series_tail_mass": head.diagnostics["series_tail_mass"],
-    }
+        warnings += (f"tail density mass deviates from 1 by {tail_mass - 1.0:.2e}",)
+    diagnostics = {"tail_mass": tail_mass, "negative_tail_mass": neg_mass, **head_part}
     tol = max(_REPAIR_TOL, 2.0 * neg_mass)
-    return _finish_table(cfg.grid, cdf_raw, pdf_raw, warnings, diagnostics, tol=tol)
+    return _finish_table(cfg.grid, cdf, pdf, warnings, diagnostics, tol=tol)
 
 
 def m_robustness(cfg_base, ms):

@@ -120,13 +120,7 @@ class ExplicitWeights:
             raise DomainError("explicit weights must be non-increasing")
 
     def value(self, n):
-        if np.ndim(n) != 0:
-            arr = np.asarray(n, dtype=np.int64)
-            out = np.zeros(arr.shape)
-            inside = (arr >= 1) & (arr <= len(self.values))
-            vals = np.asarray(self.values)
-            out[inside] = vals[arr[inside] - 1]
-            return out
+        """lambda_n for one 1-based index n; 0 beyond the list."""
         n = int(n)
         return self.values[n - 1] if 1 <= n <= len(self.values) else 0.0
 

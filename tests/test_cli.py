@@ -18,7 +18,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr
 
 import gammasum
@@ -28,6 +28,7 @@ from gammasum.edgeworth import build_expansion, edgeworth_cdf
 from gammasum.cumulants import cumulants as tail_cumulants
 from gammasum.errors import DomainError, SpecFormatError
 from gammasum.finite_sum import invert_to_table, make_head_cf
+from gammasum.mc_oracle import _MODES
 from gammasum.weights import make_power_law_normalized
 
 SPEC = make_power_law_normalized(0.75, 0.5)
@@ -286,6 +287,45 @@ class TestHeadCommand:
         err = capsys.readouterr().err
         assert rc == 3
         assert err.splitlines() == ["numerical failure: head weight lambda_2 underflows to 0"]
+
+
+class TestFloatRangeInputs:
+    @pytest.mark.parametrize(
+        "args",
+        [["head", "--M", "3", "--out", "{tmp}/h.csv"], ["edgeworth", "--M", "3", "--N", "4"]],
+    )
+    def test_overflowing_grid_span_is_a_bad_input(self, args):
+        # both ends are finite, but hi - lo is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run_fuzzed(SPEC_JSON, args + ["--grid=-1e308:1e308:5"])
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: grid needs")
+
+    def test_overflowed_head_points_have_cdf_one(self, tmp_path):
+        # y = (x + 2e-300) / 2e-300 overflows at every x > 0
+        doc = {"r": 0.5, "weights": {"kind": "explicit", "values": [1e-300, 1e-300]}}
+        out = tmp_path / "h.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = _run_fuzzed(
+                doc, ["head", "--M", "3", "--grid=-1e10:1e10:11", "--out", str(out)]
+            )
+        assert rc == 0 and err == ""
+        _, data = read_csv(str(out))
+        assert data[:5, 1].tolist() == [0.0] * 5
+        assert data[5, 1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
+        assert data[6:, 1].tolist() == [1.0] * 5
+
+    def test_overflowed_gamma_scale_is_named(self):
+        doc = {"r": 1e-300, "weights": {"kind": "explicit", "values": [1e10, 1e10]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = _run_fuzzed(
+                doc, ["head", "--M", "3", "--grid=-1:1:11", "--out", "{tmp}/h.csv"]
+            )
+        assert rc == 3
+        assert err.splitlines() == ["numerical failure: head gamma scale lambda_1 / r overflows"]
 
 
 class TestMcAndValidate:
@@ -549,25 +589,56 @@ _GRIDS = st.one_of(
 )
 
 
-def _run_fuzzed(doc, args):
-    """(exit code, stdout, stderr) of one in-process run on spec ``doc``."""
-    out, err = io.StringIO(), io.StringIO()
+def _run_fuzzed(doc, *commands, files=()):
+    """(exit code, stdout, stderr) of the last of ``commands``, run in-process
+    in one temporary directory that holds spec ``doc`` and the (name, bytes)
+    pairs ``files``.  "{tmp}" in an argument names that directory, and each
+    command but validate gets --spec."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "spec.json")
         with open(path, "w") as fh:
             json.dump(doc, fh)
-        args = [a.replace("{tmp}", tmp) for a in args]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = dispatch(args[:1] + ["--spec", path] + args[1:])
+        for name, data in files:
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        for args in commands:
+            out, err = io.StringIO(), io.StringIO()
+            args = [a.replace("{tmp}", tmp) for a in args]
+            if args[0] != "validate":
+                args[1:1] = ["--spec", path]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = dispatch(args)
     return rc, out.getvalue(), err.getvalue()
 
 
 def _check_exit_contract(rc, err):
-    """Exit 0, 2 or 3, no traceback, and an error line exactly on failure."""
+    """Exit 0, 2 or 3, no traceback, and one error line exactly on failure."""
     assert rc in (0, 2, 3)
     assert "Traceback" not in err
     lines = err.splitlines()
-    assert any(l.startswith(("error:", "numerical failure:")) for l in lines) == (rc != 0)
+    assert sum(l.startswith(("error:", "numerical failure:")) for l in lines) == (rc != 0)
+
+
+# Z grids: the grids above, plus symmetric ones of 9 to 60 points wide enough
+# to cover +/- 8 standard deviations of many fuzzed specs.
+_Z_GRIDS = st.one_of(
+    _GRIDS,
+    st.builds(
+        lambda half, n: f"--grid={-half!r}:{half!r}:{n}", st.floats(8.0, 1e4), st.integers(9, 60)
+    ),
+)
+_M_LISTS = st.one_of(
+    st.none(),
+    st.lists(st.integers(0, 12), max_size=3).map(lambda ms: ",".join(map(str, ms))),
+    st.just("2,x"),
+)
+# Sample files: up to 50 float64s, NaN and infinities included, sometimes with
+# a stray trailing byte.
+_SAMPLE_FILES = st.builds(
+    lambda values, tail: np.asarray(values, dtype="<f8").tobytes() + tail,
+    st.lists(st.one_of(st.floats(-10.0, 10.0), st.floats()), max_size=50),
+    st.sampled_from([b"", b"", b"\x00"]),
+)
 
 
 class TestFuzz:
@@ -608,3 +679,57 @@ class TestFuzz:
     def test_head_exit_codes(self, doc, m, grid):
         rc, _, err = _run_fuzzed(doc, ["head", "--M", str(m), grid, "--out", "{tmp}/h.csv"])
         _check_exit_contract(rc, err)
+
+    @given(
+        doc=spec_documents(),
+        m=st.integers(0, 12),
+        n=st.integers(1, 21),
+        grid=_Z_GRIDS,
+        robustness=_M_LISTS,
+        samples=st.one_of(st.none(), _SAMPLE_FILES),
+    )
+    @example(  # an exhausted tail whose head y = (x + 2e-20) / 1e-300 overflows
+        doc={"r": 1e280, "weights": {"kind": "explicit", "values": [1e-20, 1e-20]}},
+        m=3, n=3, grid="--grid=-1e10:1e10:11", robustness=None, samples=None,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_zdist_exit_codes(self, doc, m, n, grid, robustness, samples):
+        args = ["zdist", "--M", str(m), "--N", str(n), grid, "--out", "{tmp}/z.csv"]
+        if robustness is not None:
+            args += ["--robustness", robustness]
+        files = ()
+        if samples is not None:
+            args += ["--mc", "{tmp}/s.bin"]
+            files = (("s.bin", samples),)
+        rc, _, err = _run_fuzzed(doc, args, files=files)
+        _check_exit_contract(rc, err)
+
+    @given(
+        doc=spec_documents(),
+        mode=st.sampled_from(_MODES),
+        n=st.integers(-2, 2000),
+        seed=st.one_of(st.integers(-3, 3), st.integers(0, 2**70)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mc_exit_codes(self, doc, mode, n, seed):
+        args = ["mc", "--mode", mode, "--n", str(n), "--seed", str(seed), "--out", "{tmp}/s.bin"]
+        rc, _, err = _run_fuzzed(doc, args)
+        _check_exit_contract(rc, err)
+
+    @given(
+        doc=spec_documents(),
+        m=st.integers(0, 8),
+        grid=_GRIDS,
+        samples=_SAMPLE_FILES,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_validate_exit_codes(self, doc, m, grid, samples):
+        # the table is the head of the fuzzed spec, absent when that run fails
+        head = ["head", "--M", str(m), grid, "--out", "{tmp}/t.csv"]
+        validate = ["validate", "--table", "{tmp}/t.csv", "--samples", "{tmp}/s.bin"]
+        rc, out, err = _run_fuzzed(doc, head, validate, files=(("s.bin", samples),))
+        _check_exit_contract(rc, err)
+        if rc == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert out == ""

@@ -9,6 +9,7 @@ evaluated by quadrature, and the Monte-Carlo sampler.
 
 import cmath
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -346,6 +347,37 @@ class TestFormerlyFailingHeads:
         batch = sample_head(spec, m, n, seed=2024)
         d = ks_distance(batch, lambda x: np.interp(x, grid, table.cdf))
         assert d < 1.95 / math.sqrt(n)
+
+
+class TestFloatRangeEdges:
+    def test_overflowed_y_gives_cdf_one_and_zero_density(self):
+        # theta_1 = 1e-300: y = (x + 2e-300) / theta_1 overflows at x = 1e9, while
+        # the dense part resolves the Gamma(2) density on y in [0, 800]
+        spec = GammaSumSpec(r=1.0, weights=ExplicitWeights((1e-300, 1e-300)))
+        grid = np.append(np.linspace(-2e-300, 8e-298, 8001), 1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tab = invert_to_table(make_head_cf(spec, 3), grid)
+        assert tab.pdf is not None
+        assert tab.cdf[-1] == 1.0 and tab.pdf[-1] == 0.0
+        y = (grid[:-1] + 2e-300) / 1e-300
+        np.testing.assert_allclose(tab.cdf[:-1], gamma_dist.cdf(y, 2.0), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "r, lam, m, match",
+        [
+            (1e-300, (1e10, 1e10), 3, "lambda_1 / r overflows"),
+            (1e300, (1e-300, 1e-300), 3, "lambda_1 / r underflows to 0"),
+            (1e308, (1.0, 1.0), 2, "overflows log Gamma"),
+            (1e10, (1.0, 1e-300), 3, "K = inf terms"),
+        ],
+    )
+    def test_out_of_range_scales_fail_cleanly(self, r, lam, m, match):
+        spec = GammaSumSpec(r=r, weights=ExplicitWeights(lam))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=match):
+                invert_to_table(make_head_cf(spec, m), np.linspace(-1.0, 1.0, 11))
 
 
 class TestDistributionTable:

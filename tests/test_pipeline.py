@@ -98,7 +98,7 @@ class TestPointMassTail:
     def test_stubbed_sigma_reduces_to_head(self, monkeypatch):
         grid = default_z_grid(SPEC, 1201)
         head = invert_to_table(make_head_cf(SPEC, 6), grid)
-        monkeypatch.setattr(pipeline_module, "sigma_M", lambda s, m: 0.0)
+        monkeypatch.setattr(pipeline_module, "_tail_sd", lambda s, m: 0.0)
         cfg = PipelineConfig(spec=SPEC, M=6, N=5, grid=grid)
         tab = z_cdf(cfg)
         assert np.max(np.abs(tab.cdf - head.cdf)) == 0.0
