@@ -16,6 +16,7 @@ computation fails its accuracy checks, overflows, or yields a NaN or inf.
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -141,6 +142,12 @@ def _load_samples(path):
     )
 
 
+def _ks_band_95(n):
+    """Asymptotic 95 % quantile of the KS distance for ``n`` samples drawn from
+    the reference CDF itself."""
+    return 1.36 / math.sqrt(n)
+
+
 def _cmd_cumulants(args, argv):
     spec = _load_spec(args.spec)
     tc = cumulants(spec, args.M, args.K)
@@ -183,13 +190,15 @@ def _cmd_zdist(args, argv):
         robustness, tables = m_robustness(cfg, ms)
     tab = tables.get(args.M) or z_cdf(cfg)
 
-    ks = None
+    ks = band = None
     if args.mc:
         batch = _load_samples(args.mc)
         ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
+        band = _ks_band_95(batch.n_samples)
 
     summary = {
         "ks_vs_mc": ks,
+        "ks_band_95": band,
         "robustness": robustness,
         "warnings": list(tab.warnings),
     }
@@ -226,7 +235,8 @@ def _cmd_validate(args, argv):
     tab = _read_table_csv(args.table)
     batch = _load_samples(args.samples)
     ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
-    _emit(None, {"ks": ks, "n_samples": batch.n_samples})
+    n = batch.n_samples
+    _emit(None, {"ks": ks, "ks_band_95": _ks_band_95(n), "n_samples": n})
 
 
 def _cmd_repro(args, argv):

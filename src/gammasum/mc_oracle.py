@@ -7,19 +7,29 @@ completes it with an independent N(0, sigma^2) draw carrying exactly the
 neglected variance.  Every batch records what was neglected so error budgets
 stay explicit.
 
-Draws come from numpy's default generator (PCG64).  Within one version of
-this module identical (config, seed) pairs reproduce bit-for-bit; streams are
-not portable across implementations.
+Each eta_n ~ Gamma(shape r, mean 1) is drawn exactly; at r = 1/2 it is a
+squared standard normal, which numpy draws about three times faster than its
+shape < 1 gamma sampler.  The samples are cut into fixed chunks, and chunk i
+draws from its own PCG64 generator seeded by child i of
+``SeedSequence(seed)``.  The chunks run on a thread pool as wide as the cores
+this process may use; the workers call numpy only, whose fills and einsum
+products release the GIL and use no BLAS thread pool.  The values therefore
+depend on (config, seed) alone, never on the core count.  Within one version
+of this module identical (config, seed) pairs reproduce bit-for-bit; streams
+are not portable across implementations.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .cumulants import _tail_sd, sigma_M
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .weights import PowerLawWeights, _check_m
 
 _MODES = ("truncate", "normal_tail")
@@ -31,10 +41,18 @@ _NEGLECTED_SD_TARGET = 1e-4
 _TERM_CAP = 4096
 
 # chunk shapes fix the draw order; changing them changes the streams
-_SAMPLE_CHUNK = 16384
+_SAMPLE_CHUNK = 2048
 _TERM_BLOCK = 512
 
-_RNG_ALGORITHM = "numpy default_rng (PCG64)"
+# chunks drawn at once; the streams do not depend on it
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+_RNG_ALGORITHM = (
+    f"numpy default_rng (PCG64); chunk i of {_SAMPLE_CHUNK} samples draws from "
+    "SeedSequence(seed).spawn(n_chunks)[i]"
+)
 
 
 @dataclass(frozen=True)
@@ -79,23 +97,44 @@ def _default_terms(spec, start):
     return lo
 
 
-def _draw_weighted_sums(lam, r, tail_sd, n_samples, seed):
-    """sum lambda_n (eta_n - 1) over ``lam`` plus an optional normal tail."""
-    rng = np.random.default_rng(seed)
-    lam = np.asarray(lam, dtype=float)
-    shift = float(lam.sum())
-    out = np.empty(n_samples)
-    for s0 in range(0, n_samples, _SAMPLE_CHUNK):
-        s1 = min(s0 + _SAMPLE_CHUNK, n_samples)
-        acc = np.zeros(s1 - s0)
+def _fill_eta(rng, r, out):
+    """Fill ``out`` in place with i.i.d. Gamma(shape r, mean 1) draws."""
+    if r == 0.5:
+        rng.standard_normal(out=out)
+        np.square(out, out=out)
+    else:
+        rng.standard_gamma(r, out=out)
+        out *= 1.0 / r
+
+
+def _draw_chunk(lam, r, tail_sd, seed_seq, out):
+    """One chunk of sum lambda_n (eta_n - 1), written into ``out``; numpy only,
+    so it runs on a worker thread.  errstate is per thread, hence set here."""
+    rng = np.random.default_rng(seed_seq)
+    # flat, so a short last block still gets a contiguous view for out=
+    buf = np.empty(min(lam.size, _TERM_BLOCK) * out.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[:] = 0.0
         for t0 in range(0, lam.size, _TERM_BLOCK):
             block = lam[t0 : t0 + _TERM_BLOCK]
-            draws = rng.gamma(r, 1.0 / r, size=(block.size, s1 - s0))
-            acc += block @ draws
-        acc -= shift
+            draws = buf[: block.size * out.size].reshape(block.size, out.size)
+            _fill_eta(rng, r, draws)
+            out += np.einsum("i,ij->j", block, draws)
+        out -= lam.sum()
         if tail_sd > 0.0:
-            acc += tail_sd * rng.standard_normal(s1 - s0)
-        out[s0:s1] = acc
+            out += tail_sd * rng.standard_normal(out.size)
+
+
+def _draw_weighted_sums(lam, r, tail_sd, n_samples, seed):
+    """sum lambda_n (eta_n - 1) over ``lam`` plus an optional normal tail."""
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(n_samples)
+    chunks = [out[s0 : s0 + _SAMPLE_CHUNK] for s0 in range(0, n_samples, _SAMPLE_CHUNK)]
+    seeds = np.random.SeedSequence(seed).spawn(len(chunks))
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, len(chunks))) as pool:
+        list(pool.map(partial(_draw_chunk, lam, r, tail_sd), seeds, chunks))
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("Monte-Carlo sample of the weighted sum leaves the float range")
     return out
 
 

@@ -128,7 +128,11 @@ class ExplicitWeights:
         return np.asarray(self.values[: m - 1], dtype=np.float64)
 
     def tail_power_sum(self, m: int, k: int) -> float:
-        return math.fsum(v**k for v in self.values[m - 1 :])
+        """sum of lambda_n^k from index m on; inf when it overflows."""
+        try:
+            return math.fsum(v**k for v in self.values[m - 1 :])
+        except OverflowError:
+            return math.inf
 
 
 WeightSequence = Union[PowerLawWeights, ExplicitWeights]

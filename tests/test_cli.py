@@ -317,6 +317,18 @@ class TestFloatRangeInputs:
         assert data[5, 1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
         assert data[6:, 1].tolist() == [1.0] * 5
 
+    def test_huge_explicit_weights_without_flag(self):
+        # the normalization auto-detection squares 1e308; that sum reads inf
+        # instead of failing with Python's errno tuple
+        doc = {"r": 0.5, "weights": {"kind": "explicit", "values": [1e308, 1e308]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = _run_fuzzed(
+                doc, ["head", "--M", "3", "--grid=-1:1:11", "--out", "{tmp}/h.csv"]
+            )
+        _check_exit_contract(rc, err)
+        assert "out of range" not in err and "(34" not in err
+
     def test_overflowed_gamma_scale_is_named(self):
         doc = {"r": 1e-300, "weights": {"kind": "explicit", "values": [1e10, 1e10]}}
         with warnings.catch_warnings():
@@ -365,6 +377,23 @@ class TestMcAndValidate:
         res = json.loads(capsys.readouterr().out)
         assert res["n_samples"] == 50000
         assert res["ks"] < 0.02
+        assert res["ks_band_95"] == pytest.approx(1.36 / math.sqrt(50000), rel=1e-15)
+
+    def test_overflowing_draws_exit_3(self):
+        # 1e308 * eta overflows, and "normalized": false skips the squaring
+        # that rejects such weights up front
+        doc = {
+            "r": 4,
+            "weights": {"kind": "explicit", "values": [1e308, 2, 1.0000000000002303]},
+            "normalized": False,
+        }
+        args = ["mc", "--mode", "truncate", "--n", "1359", "--seed", "24646",
+                "--out", "{tmp}/s.bin"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run_fuzzed(doc, args)
+        assert rc == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
 
     def test_validate_rejects_corrupt_table(self, spec_path, tmp_path, capsys):
         table = tmp_path / "z.csv"
@@ -421,6 +450,7 @@ class TestZdistCommand:
         assert np.all(np.diff(data[:, 1]) >= 0.0)
         summary = json.loads((tmp_path / "z.summary.json").read_text())
         assert summary["ks_vs_mc"] is None
+        assert summary["ks_band_95"] is None
         assert 0.0 < summary["robustness"] < 0.01
         assert isinstance(summary["warnings"], list)
 
@@ -439,6 +469,7 @@ class TestZdistCommand:
         capsys.readouterr()
         summary = json.loads((tmp_path / "z.summary.json").read_text())
         assert summary["ks_vs_mc"] < 0.02
+        assert summary["ks_band_95"] == pytest.approx(1.36 / math.sqrt(30000), rel=1e-15)
         assert summary["robustness"] is None
 
 

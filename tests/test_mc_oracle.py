@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import gamma as gamma_dist, norm
 
+from gammasum import mc_oracle
 from gammasum.cumulants import berry_esseen_bound, cumulants, sigma_M
 from gammasum.errors import DomainError
 from gammasum.mc_oracle import (
@@ -90,6 +91,33 @@ class TestSampler:
         batch = sample_z(spec, "truncate", 10, seed=0)
         assert batch.n_terms == 30
         assert batch.neglected_sd == 0.0
+
+    def test_exact_chi_square_at_half(self):
+        # at r = 1/2, lambda = 1: Z + 1 ~ Gamma(1/2, scale 2) exactly; the
+        # fixed seed sits inside the 99% KS quantile
+        spec = GammaSumSpec(r=0.5, weights=ExplicitWeights((1.0,)))
+        n = 1_000_000
+        batch = sample_z(spec, "truncate", n, seed=2)
+        d = ks_distance(batch, lambda v: gamma_dist.cdf(v + 1.0, 0.5, scale=2.0))
+        assert d < 1.63 / math.sqrt(n)
+
+    def test_values_do_not_depend_on_worker_count(self, monkeypatch):
+        args = (reference_spec(), "normal_tail", 3 * 2048 + 5, 8, 600)
+        default = sample_z(*args).values
+        monkeypatch.setattr(mc_oracle, "_WORKERS", 1)
+        np.testing.assert_array_equal(sample_z(*args).values, default)
+
+    def test_ragged_sizes(self):
+        # neither size a multiple of its chunk; mean 0 and unit variance
+        # within ~4 sigma, and whole chunks do not depend on the sample count
+        spec = reference_spec()
+        n, terms = 200_001, 777
+        batch = sample_z(spec, "normal_tail", n, seed=29, n_terms=terms)
+        assert batch.values.shape == (n,)
+        assert float(np.mean(batch.values)) == pytest.approx(0.0, abs=0.01)
+        assert float(np.var(batch.values)) == pytest.approx(1.0, abs=0.02)
+        short = sample_z(spec, "normal_tail", 4096, seed=29, n_terms=terms)
+        np.testing.assert_array_equal(short.values, batch.values[:4096])
 
     def test_mode_validation(self):
         with pytest.raises(DomainError):

@@ -126,6 +126,14 @@ class TestTailPowerSum:
         assert tail_power_sum(spec, 2, 3) == pytest.approx(0.125 + 0.015625)
         assert tail_power_sum(spec, 4, 2) == 0.0
 
+    def test_overflowing_explicit_sum_is_infinite(self):
+        # 1e308^2 leaves the float range; the sum reads inf, not an errno error
+        spec = GammaSumSpec(r=0.5, weights=ExplicitWeights(values=(1e308, 1e308)))
+        assert tail_power_sum(spec, 1, 2) == math.inf
+        assert spec.weights.tail_power_sum(1, 1) == math.inf
+        doc = {"r": 0.5, "weights": {"kind": "explicit", "values": [1e308, 1e308]}}
+        assert not spec_from_dict(doc).normalized
+
     def test_strictly_decreasing_in_m_for_power_law(self):
         spec = make_power_law_normalized(gamma=0.75, r=0.5)
         vals = [tail_power_sum(spec, m, 3) for m in range(1, 30)]
