@@ -9,8 +9,9 @@ configuration, library version, and warnings; re-running with the same
 configuration reproduces the artifact bit for bit.  Without --out,
 cumulants and edgeworth print their result instead, with no manifest.
 
-Exit codes: 0 on success, 2 for usage errors and bad inputs, 3 when a
-computation fails its accuracy checks, overflows, or yields a NaN or inf.
+Exit codes: 0 on success, 2 for usage errors and bad inputs (sizes too large
+to allocate included), 3 when a computation fails its accuracy checks,
+overflows, or yields a NaN or inf.
 """
 
 import argparse
@@ -27,7 +28,7 @@ from . import __version__
 from .cumulants import be_condition_ratio, berry_esseen_bound, cumulants, sigma_M
 from .edgeworth import edgeworth_cdf, edgeworth_pdf
 from .errors import DomainError, NumericalError, SpecFormatError
-from .finite_sum import DistributionTable, invert_to_table, make_head_cf
+from .finite_sum import DistributionTable, _check_grid, invert_to_table, make_head_cf
 from .mc_oracle import _MODES, SampleBatch, ks_distance, sample_z
 from .pipeline import PipelineConfig, _expansion_for, m_robustness, z_cdf
 from .weights import make_power_law_normalized, spec_from_dict, spec_to_dict
@@ -57,7 +58,7 @@ def _parse_grid(text):
         raise DomainError(f"grid needs lo < hi with a finite span hi - lo, got {text!r}")
     if n < 2:
         raise DomainError(f"grid needs at least 2 points, got {n}")
-    return np.linspace(lo, hi, n)
+    return _check_grid(np.linspace(lo, hi, n))
 
 
 def _json_text(doc):
@@ -358,7 +359,7 @@ def dispatch(argv):
     except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

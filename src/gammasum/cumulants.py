@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateTailError, DomainError, NumericalError
-from .weights import GammaSumSpec, _check_m, tail_power_sum, tail_weight_sum
+from .weights import GammaSumSpec, _check_int, _check_m, tail_power_sum, tail_weight_sum
 
 __all__ = [
     "BERRY_ESSEEN_CONSTANT",
@@ -52,11 +52,7 @@ class TailCumulants:
 
     def kappa_k(self, k: int) -> float:
         """kappa_{k,M} by cumulant order k (k = 2 is the first stored entry)."""
-        if not 2 <= k <= self.max_order:
-            raise DomainError(
-                f"kappa_{k} not available; stored orders are 2..{self.max_order}"
-            )
-        return self.kappa[k - 2]
+        return self.kappa[_check_int(k, "stored cumulant order k", 2, self.max_order) - 2]
 
     @property
     def max_order(self) -> int:
@@ -65,7 +61,10 @@ class TailCumulants:
 
 def _tail_sd(spec: GammaSumSpec, m: int) -> float:
     """sqrt((1/r) sum_{n>=M} lambda_n^2), which is 0.0 for an empty tail."""
-    return math.sqrt(tail_power_sum(spec, m, 2) / spec.r)
+    sd = math.sqrt(tail_power_sum(spec, m, 2) / spec.r)
+    if sd == math.inf:
+        raise NumericalError(f"tail variance (1/r) S_2(M) overflows at M = {m}")
+    return sd
 
 
 def sigma_M(spec: GammaSumSpec, m: int) -> float:
@@ -86,11 +85,7 @@ def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
     and is asserted to 1e-10 as an internal consistency check.
     """
     m = _check_m(m)
-    if not (isinstance(K, int) and 3 <= K <= MAX_CUMULANT_ORDER):
-        raise DomainError(
-            f"cumulant order K must be an integer in [3, {MAX_CUMULANT_ORDER}], "
-            f"got {K!r}"
-        )
+    K = _check_int(K, "cumulant order K", 3, MAX_CUMULANT_ORDER)
     r = spec.r
     sig = sigma_M(spec, m)
     kappa = []

@@ -27,10 +27,12 @@ import numpy as np
 from numpy.polynomial.hermite_e import hermeval
 from scipy import integrate, special
 
-from .cumulants import TailCumulants
+from .cumulants import MAX_CUMULANT_ORDER, TailCumulants
 from .errors import DomainError
+from .weights import _check_int
 
-MAX_EXPANSION_ORDER = 20
+# an order-N expansion needs the cumulants through order N
+MAX_EXPANSION_ORDER = MAX_CUMULANT_ORDER
 MAX_HERMITE_DEGREE = 50
 
 # phi and the Hermite sums are evaluated at x clipped to +-40: phi(+-40) is
@@ -87,12 +89,7 @@ def enumerate_eta(n_order):
 
     Returns a list of :class:`IndexVector` sorted by the tuple ``k``.
     """
-    if not isinstance(n_order, (int, np.integer)) or isinstance(n_order, bool):
-        raise DomainError(f"expansion order must be an integer, got {n_order!r}")
-    if not 2 <= n_order <= MAX_EXPANSION_ORDER:
-        raise DomainError(
-            f"expansion order must be in [2, {MAX_EXPANSION_ORDER}], got {n_order}"
-        )
+    n_order = _check_int(n_order, "expansion order", 2, MAX_EXPANSION_ORDER)
     budget = n_order - 2
     tuples = []
 
@@ -119,12 +116,7 @@ def hermite(k, x):
     Degrees up to 50 are supported; ``hermeval`` loses no accuracy in that
     range for the arguments of interest (|x| up to ~15).
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise DomainError(f"Hermite degree must be an integer, got {k!r}")
-    if not 0 <= k <= MAX_HERMITE_DEGREE:
-        raise DomainError(
-            f"Hermite degree must be in [0, {MAX_HERMITE_DEGREE}], got {k}"
-        )
+    k = _check_int(k, "Hermite degree", 0, MAX_HERMITE_DEGREE)
     xa = np.asarray(x, dtype=float)
     out = hermeval(xa, np.eye(k + 1)[k])
     return float(out) if xa.ndim == 0 else out
@@ -132,24 +124,21 @@ def hermite(k, x):
 
 def build_expansion(tc, n_order):
     """Assemble the order-``n_order`` expansion from tail cumulants ``tc``."""
-    if not 2 <= n_order <= MAX_EXPANSION_ORDER:
-        raise DomainError(
-            f"expansion order must be in [2, {MAX_EXPANSION_ORDER}], got {n_order}"
-        )
+    etas = enumerate_eta(n_order)
     if tc.max_order < n_order:
         raise DomainError(
             f"order-{n_order} expansion needs cumulants through order "
             f"{n_order}, have {tc.max_order}"
         )
     terms = []
-    for iv in enumerate_eta(n_order):
+    for iv in etas:
         coeff = 1.0
         for m, km in zip(range(3, n_order + 1), iv.k):
             if km:
                 coeff *= (tc.kappa_k(m) / math.factorial(m)) ** km
                 coeff /= math.factorial(km)
         terms.append((iv, coeff, iv.zeta_index))
-    return EdgeworthExpansion(N=n_order, terms=tuple(terms), cumulants=tc)
+    return EdgeworthExpansion(N=int(n_order), terms=tuple(terms), cumulants=tc)
 
 
 def edgeworth_cdf(expansion, x):

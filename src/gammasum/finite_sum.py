@@ -38,7 +38,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
-from .weights import GammaSumSpec, _check_m
+from .weights import GammaSumSpec, _check_int, _check_m
 
 _REPAIR_TOL = 1e-9
 # omitted mixture weight mass the term count K is sized for
@@ -75,8 +75,23 @@ class HeadCF:
 
 
 def make_head_cf(spec, m):
-    _check_m(m)
-    return HeadCF(spec=spec, M=int(m), lam=tuple(spec.weights.head(m)))
+    m = _check_m(m)
+    return HeadCF(spec=spec, M=m, lam=tuple(spec.weights.head(m)))
+
+
+def _check_grid(grid, min_points=2):
+    """``grid`` as a 1-D, finite, strictly increasing float array of at least
+    ``min_points`` points."""
+    try:
+        grid = np.asarray(grid, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"grid must be numeric: {exc}") from exc
+    ok = grid.ndim == 1 and grid.size >= min_points and np.all(np.isfinite(grid))
+    if not (ok and np.all(np.diff(grid) > 0.0)):
+        raise DomainError(
+            f"grid must be 1-D, finite and strictly increasing, >= {min_points} points"
+        )
+    return grid
 
 
 @dataclass(frozen=True)
@@ -90,12 +105,10 @@ class DistributionTable:
     diagnostics: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_grid(self.grid)
         cdf = np.asarray(self.cdf, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "cdf", cdf)
-        if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
-            raise DomainError("grid must be 1-D and strictly increasing")
         if cdf.shape != grid.shape:
             raise DomainError("cdf length must match the grid")
         if np.any(cdf < 0.0) or np.any(cdf > 1.0) or np.any(np.diff(cdf) < 0.0):
@@ -117,11 +130,11 @@ class DistributionTable:
 
 def default_grid(spec, m, points=2001):
     """Uniform grid over mean +/- 8 head standard deviations."""
-    lam = spec.weights.head(m)
+    lam = spec.weights.head(_check_m(m))
     if lam.size == 0:
         raise DomainError("empty head has no distribution grid")
     half = 8.0 * math.sqrt(float(np.sum(lam * lam)) / spec.r)
-    return np.linspace(-half, half, points)
+    return np.linspace(-half, half, _check_int(points, "grid points", 2))
 
 
 def _mixture_weights(theta, r):
@@ -207,9 +220,7 @@ def invert_to_table(hcf, grid):
     """
     if hcf.M < 2:
         raise DomainError("head is empty for M = 1; nothing to invert")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
-        raise DomainError("grid must be 1-D and strictly increasing")
+    grid = _check_grid(grid)
     lam = np.asarray(hcf.lam, dtype=float)
     r = hcf.spec.r
     with np.errstate(over="ignore"):

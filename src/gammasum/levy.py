@@ -34,6 +34,7 @@ from .errors import DomainError, NumericalError
 from .weights import (
     GammaSumSpec,
     PowerLawWeights,
+    _check_int,
     _check_m,
     _zeta_tail,
 )
@@ -148,8 +149,8 @@ class LevyTailDensity:
 
 def levy_tail_density(spec, m):
     """Construct the tail Levy density object for truncation ``m``."""
-    _check_m(m)
-    return LevyTailDensity(spec=spec, M=int(m), sigma_M=sigma_M(spec, m))
+    m = _check_m(m)
+    return LevyTailDensity(spec=spec, M=m, sigma_M=sigma_M(spec, m))
 
 
 def levy_density(d, x):
@@ -174,8 +175,7 @@ def cumulant_via_integral(spec, m, k):
     the unbounded part, targeting 1e-9 absolute error.  This is the slow,
     independent route; the closed form lives in :mod:`gammasum.cumulants`.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise DomainError(f"cumulant order must be an integer >= 2, got {k!r}")
+    k = _check_int(k, "cumulant order k", 2)
     d = levy_tail_density(spec, m)
 
     def integrand(x):

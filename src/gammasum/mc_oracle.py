@@ -30,7 +30,7 @@ import numpy as np
 
 from .cumulants import _tail_sd, sigma_M
 from .errors import DomainError, NumericalError
-from .weights import PowerLawWeights, _check_m
+from .weights import PowerLawWeights, _check_int, _check_m
 
 _MODES = ("truncate", "normal_tail")
 
@@ -71,13 +71,6 @@ class SampleBatch:
 def _check_mode(mode):
     if mode not in _MODES:
         raise DomainError(f"mode must be one of {_MODES}, got {mode!r}")
-
-
-def _check_draws(n_samples, seed):
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise DomainError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _default_terms(spec, start):
@@ -142,15 +135,16 @@ def _sample(spec, start, n_terms, mode, n_samples, seed):
     """Batch of sum lambda_n (eta_n - 1) over ``n_terms`` indices from
     ``start``; normal_tail mode adds a normal draw carrying the sd of the
     neglected rest of the series, exact mode neglects nothing."""
-    _check_draws(n_samples, seed)
-    lam = spec.weights.head(start + n_terms)[start - 1 :]
+    n_samples = _check_int(n_samples, "n_samples", 1)
+    seed = _check_int(seed, "seed", 0)
+    lam = spec.weights.head(start + _check_int(n_terms, "n_terms", 0))[start - 1 :]
     neglected = 0.0 if mode == "exact" else _tail_sd(spec, start + lam.size)
     tail_sd = neglected if mode == "normal_tail" else 0.0
     return SampleBatch(
         values=_draw_weighted_sums(lam, spec.r, tail_sd, n_samples, seed),
         seed=seed,
         n_terms=int(lam.size),
-        n_samples=int(n_samples),
+        n_samples=n_samples,
         mode=mode,
         neglected_sd=neglected,
     )
@@ -171,13 +165,12 @@ def sample_z(spec, mode, n_samples, seed, n_terms=None):
 def sample_head(spec, m, n_samples, seed):
     """Sample the exact finite head X_M (indices below ``m``); no truncation
     error."""
-    _check_m(m)
-    return _sample(spec, 1, m - 1, "exact", n_samples, seed)
+    return _sample(spec, 1, _check_m(m) - 1, "exact", n_samples, seed)
 
 
 def sample_tail(spec, m, mode, n_samples, seed, n_terms=None):
     """Sample the normalized tail (sum from ``m`` on) / sigma_M."""
-    _check_m(m)
+    m = _check_m(m)
     _check_mode(mode)
     sig = sigma_M(spec, m)
     if n_terms is None:

@@ -44,10 +44,16 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .cumulants import _tail_sd, cumulants, sigma_M
-from .edgeworth import build_expansion, edgeworth_cdf, edgeworth_pdf, negative_pdf_mass
+from .edgeworth import (
+    MAX_EXPANSION_ORDER,
+    build_expansion,
+    edgeworth_cdf,
+    edgeworth_pdf,
+    negative_pdf_mass,
+)
 from .errors import DomainError
-from .finite_sum import _REPAIR_TOL, _finish_table, invert_to_table, make_head_cf
-from .weights import GammaSumSpec, _check_m
+from .finite_sum import _REPAIR_TOL, _check_grid, _finish_table, invert_to_table, make_head_cf
+from .weights import GammaSumSpec, _check_int, _check_m
 
 _TAIL_HALF_WIDTH = 10.0
 _POINT_MASS_EPS = 1e-12
@@ -68,13 +74,11 @@ class PipelineConfig:
     grid: np.ndarray
 
     def __post_init__(self):
-        _check_m(self.M)
-        if not (isinstance(self.N, (int, np.integer)) and 2 <= self.N <= 20):
-            raise DomainError(f"expansion order N must be in [2, 20], got {self.N!r}")
-        grid = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        if grid.ndim != 1 or grid.size < 9 or not np.all(np.diff(grid) > 0.0):
-            raise DomainError("grid must be 1-D, strictly increasing, >= 9 points")
+        m = _check_m(self.M)
+        n_order = _check_int(self.N, "expansion order N", 2, MAX_EXPANSION_ORDER)
+        grid = _check_grid(self.grid, min_points=9)
+        for name, value in (("M", m), ("N", n_order), ("grid", grid)):
+            object.__setattr__(self, name, value)
         sd = sigma_M(self.spec, 1)
         slack = 1e-9 * sd
         if grid[0] > -8.0 * sd + slack or grid[-1] < 8.0 * sd - slack:
@@ -87,7 +91,7 @@ class PipelineConfig:
 def default_z_grid(spec, points=2001):
     """Uniform grid over +/- 8 total standard deviations."""
     sd = sigma_M(spec, 1)
-    return np.linspace(-8.0 * sd, 8.0 * sd, points)
+    return np.linspace(-8.0 * sd, 8.0 * sd, _check_int(points, "grid points", 2))
 
 
 def _trapezoid_weights(n, h):
@@ -116,12 +120,16 @@ def _convolve(cfg, ex, sig):
     wf = _trapezoid_weights(_QUAD_POINTS, y[1] - y[0])
     wf *= edgeworth_pdf(ex, y / sig) / sig
     head = _head_table(cfg, sig)
-    f_interp = PchipInterpolator(head.grid, head.cdf, extrapolate=True)
-    p_interp = (
-        PchipInterpolator(head.grid, head.pdf, extrapolate=True)
-        if head.pdf is not None
-        else None
-    )
+    # a PCHIP slope is a weighted harmonic mean of secants, the reciprocal of
+    # sum w / secant: a subnormal secant overflows that sum to inf, and its
+    # reciprocal, slope 0, is the correct limit
+    with np.errstate(divide="ignore", over="ignore"):
+        f_interp = PchipInterpolator(head.grid, head.cdf, extrapolate=True)
+        p_interp = (
+            PchipInterpolator(head.grid, head.pdf, extrapolate=True)
+            if head.pdf is not None
+            else None
+        )
     cdf = np.empty(cfg.grid.size)
     pdf = np.empty(cfg.grid.size) if p_interp is not None else None
     for i0 in range(0, cfg.grid.size, _GRID_CHUNK):

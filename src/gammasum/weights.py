@@ -26,6 +26,7 @@ enforces this in closed form via C = (zeta(2 gamma)/r)^{-1/2}.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -48,25 +49,40 @@ __all__ = [
 ]
 
 
+def _check_int(value, name: str, lo: int, hi: int | None = None) -> int:
+    """``value`` as an int: a Python or numpy integer, not a bool, in [lo, hi]."""
+    ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (ok and lo <= value and (hi is None or value <= hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
+
+
+def _check_real(value, name: str, above: float) -> float:
+    """``value`` as a float: a finite real number, not a bool, above ``above``."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        x = float(value) if ok else math.nan
+    except OverflowError:  # an int beyond the float range
+        x = math.nan
+    if not (math.isfinite(x) and x > above):
+        raise DomainError(f"{name} must be a finite real number > {above:g}, got {value!r}")
+    return x
+
+
 def _zeta_tail(s: float, start: int) -> float:
     """sum_{n >= start} n^(-s) for s > 1: the Hurwitz zeta function.
 
     scipy returns NaN instead of 0 once s exceeds about 2.5e13 and the sum
     underflows (start >= 2); that NaN is mapped to 0.
     """
-    if not s > 1.0:
-        raise DomainError(f"zeta tail requires s > 1, got s = {s}")
     out = float(special.zeta(s, start))
     return 0.0 if math.isnan(out) else out
 
 
 def zeta(s: float) -> float:
     """Riemann zeta(s) = sum_{n>=1} n^(-s) for s > 1, absolute error < 1e-12."""
-    if not (isinstance(s, (int, float)) and math.isfinite(s)):
-        raise DomainError(f"zeta requires a finite real argument, got {s!r}")
-    if s <= 1.0:
-        raise DomainError(f"zeta(s) diverges for s <= 1, got s = {s}")
-    return _zeta_tail(float(s), 1)
+    return _zeta_tail(_check_real(s, "zeta argument s", 1.0), 1)
 
 
 @dataclass(frozen=True)
@@ -77,18 +93,13 @@ class PowerLawWeights:
     scale: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0.5):
-            raise DomainError(
-                f"power-law exponent must satisfy gamma > 1/2 for square "
-                f"summability, got gamma = {self.gamma}"
-            )
-        if not (math.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        # gamma > 1/2 makes the weights square summable
+        object.__setattr__(self, "gamma", _check_real(self.gamma, "exponent gamma", 0.5))
+        object.__setattr__(self, "scale", _check_real(self.scale, "scale", 0.0))
 
     def value(self, n):
-        """lambda_n; scalar or array n (1-based indices)."""
-        out = self.scale * np.asarray(n, dtype=np.float64) ** (-self.gamma)
-        return float(out) if np.ndim(n) == 0 else out
+        """lambda_n for one 1-based index n."""
+        return self.scale * _check_int(n, "weight index n", 1) ** -self.gamma
 
     def head(self, m: int) -> np.ndarray:
         """Array (lambda_1, ..., lambda_{m-1})."""
@@ -110,19 +121,17 @@ class ExplicitWeights:
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(_check_real(v, "explicit weight", 0.0) for v in self.values)
         object.__setattr__(self, "values", vals)
         if not vals:
             raise DomainError("explicit weight list must be non-empty")
-        if not all(math.isfinite(v) and v > 0.0 for v in vals):
-            raise DomainError("explicit weights must be positive and finite")
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise DomainError("explicit weights must be non-increasing")
 
     def value(self, n):
         """lambda_n for one 1-based index n; 0 beyond the list."""
-        n = int(n)
-        return self.values[n - 1] if 1 <= n <= len(self.values) else 0.0
+        n = _check_int(n, "weight index n", 1)
+        return self.values[n - 1] if n <= len(self.values) else 0.0
 
     def head(self, m: int) -> np.ndarray:
         return np.asarray(self.values[: m - 1], dtype=np.float64)
@@ -149,8 +158,7 @@ class GammaSumSpec:
     normalized: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise DomainError(f"gamma shape r must be positive, got {self.r}")
+        object.__setattr__(self, "r", _check_real(self.r, "gamma shape r", 0.0))
         if self.normalized:
             s2 = self.weights.tail_power_sum(1, 2)
             if abs(s2 / self.r - 1.0) > _NORMALIZATION_RTOL:
@@ -161,30 +169,23 @@ class GammaSumSpec:
 
 def make_power_law_normalized(gamma: float, r: float) -> GammaSumSpec:
     """Power-law spec with C = (zeta(2 gamma)/r)^(-1/2), so Var Z = 1 exactly."""
-    if not (isinstance(gamma, (int, float)) and math.isfinite(gamma) and gamma > 0.5):
-        raise DomainError(f"gamma must exceed 1/2, got {gamma!r}")
-    if not (isinstance(r, (int, float)) and math.isfinite(r) and r > 0.0):
-        raise DomainError(f"r must be positive, got {r!r}")
+    gamma = _check_real(gamma, "exponent gamma", 0.5)
+    r = _check_real(r, "gamma shape r", 0.0)
     scale = math.sqrt(r / zeta(2.0 * gamma))
     return GammaSumSpec(
-        r=float(r),
-        weights=PowerLawWeights(gamma=float(gamma), scale=scale),
+        r=r,
+        weights=PowerLawWeights(gamma=gamma, scale=scale),
         normalized=True,
     )
 
 
 def _check_m(m: int) -> int:
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise DomainError(f"truncation index M must be a positive integer, got {m!r}")
-    return int(m)
+    return _check_int(m, "truncation index M", 1)
 
 
 def tail_power_sum(spec: GammaSumSpec, m: int, k: int) -> float:
     """S_k(M) = sum_{n>=M} lambda_n^k for k >= 2 (exact tail, not truncated)."""
-    m = _check_m(m)
-    if not (isinstance(k, (int, np.integer)) and k >= 2):
-        raise DomainError(f"power k must be an integer >= 2, got {k!r}")
-    return spec.weights.tail_power_sum(m, int(k))
+    return spec.weights.tail_power_sum(_check_m(m), _check_int(k, "power k", 2))
 
 
 def tail_weight_sum(spec: GammaSumSpec, m: int) -> float:
@@ -206,10 +207,11 @@ def spec_to_dict(spec: GammaSumSpec) -> dict:
     return {"r": spec.r, "weights": wd, "normalized": spec.normalized}
 
 
-def _require_number(v, name: str) -> float:
+def _require_number(v, name: str):
+    """``v`` if it is a JSON number; the spec classes check its value."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SpecFormatError(f"{name} must be a number, got {v!r}")
-    return float(v)
+    return v
 
 
 def spec_from_dict(d: dict) -> GammaSumSpec:

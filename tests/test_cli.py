@@ -70,7 +70,10 @@ class TestGridParser:
         g = _parse_grid("-2:3:11")
         assert g[0] == -2.0 and g[-1] == 3.0 and g.size == 11
 
-    @pytest.mark.parametrize("bad", ["1:2", "2:1:50", "a:b:c", "0:1:1", "1:2:3:4"])
+    # in the last case hi - lo is 2 ulps, so 5 points repeat values
+    @pytest.mark.parametrize(
+        "bad", ["1:2", "2:1:50", "a:b:c", "0:1:1", "1:2:3:4", "1:1.0000000000000004:5"]
+    )
     def test_malformed(self, bad):
         with pytest.raises(DomainError):
             _parse_grid(bad)
@@ -301,6 +304,44 @@ class TestFloatRangeInputs:
             rc, out, err = _run_fuzzed(SPEC_JSON, args + ["--grid=-1e308:1e308:5"])
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: grid needs")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["head", "--M", "3", "--grid=-8:8:10000000000000", "--out", "{out}/h.csv"],
+            ["mc", "--mode", "truncate", "--n", "10000000000000", "--seed", "1",
+             "--out", "{out}/s.bin"],
+            ["zdist", "--M", "10000000000000", "--N", "3", "--grid=-9:9:101",
+             "--out", "{out}/z.csv"],
+        ],
+    )
+    def test_unallocatable_size_is_a_bad_input(self, args, tmp_path):
+        # 1e13 float64s (72.8 TiB) are refused before anything is allocated
+        args = [a.replace("{out}", str(tmp_path)) for a in args]
+        rc, out, err = _run_fuzzed(SPEC_JSON, args)
+        assert rc == 2 and out == "" and list(tmp_path.iterdir()) == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+
+    def test_integer_beyond_float_range_is_a_bad_input(self):
+        doc = {"r": 10**400, "weights": {"kind": "explicit", "values": [1.0]}}
+        rc, out, err = _run_fuzzed(doc, ["cumulants", "--M", "1", "--K", "3"])
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: gamma shape r")
+
+    def test_subnormal_head_secants_do_not_warn(self, tmp_path):
+        # the head table has subnormal secants here; PCHIP's harmonic-mean
+        # slopes overflow on the way to their limit 0
+        doc = {"r": 0.5, "weights": {"kind": "power_law", "gamma": 1.0,
+                                     "scale": 3.4359654404523545}}
+        out = tmp_path / "z.csv"
+        args = ["zdist", "--M", "6", "--N", "18",
+                "--grid=-1660.1170819119372:1660.1170819119372:20", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, err = _run_fuzzed(doc, args)
+        assert rc == 0 and err == ""
+        _, data = read_csv(str(out))
+        assert data.shape == (20, 2) and np.all(np.diff(data[:, 1]) >= 0.0)
 
     def test_overflowed_head_points_have_cdf_one(self, tmp_path):
         # y = (x + 2e-300) / 2e-300 overflows at every x > 0
@@ -722,6 +763,10 @@ class TestFuzz:
     @example(  # an exhausted tail whose head y = (x + 2e-20) / 1e-300 overflows
         doc={"r": 1e280, "weights": {"kind": "explicit", "values": [1e-20, 1e-20]}},
         m=3, n=3, grid="--grid=-1e10:1e10:11", robustness=None, samples=None,
+    )
+    @example(  # S_2 = 2e310 overflows, so the tail sd is inf
+        doc={"r": 1.0, "weights": {"kind": "explicit", "values": [1e155, 1e155]}},
+        m=2, n=2, grid="--grid=-8.0:8.0:9", robustness=None, samples=None,
     )
     @settings(max_examples=40, deadline=None)
     def test_zdist_exit_codes(self, doc, m, n, grid, robustness, samples):
