@@ -20,13 +20,20 @@ so a Chernoff bound P(t) t^{-K} sizes the number of terms K and bounds the
 omitted weight mass.  The weights come from an FFT of the generating
 function on K roots of unity, where |P| <= 1, so nothing underflows.
 
-With y = (x + sum lambda_n) / theta_1 the CDF and PDF are
+With y = (x + sum lambda_n) / theta_1, e_a(y) = y^{a-1} e^{-y} / Gamma(a)
+the Gamma(a) density and P the regularized lower incomplete gamma function,
+the PDF is f(x) = sum_k p_k e_{R+k}(y) / theta_1 and the CDF is
+F(x) = sum_k p_k P(R + k, y).  The recurrence P(a, y) = P(a + 1, y) +
+e_{a+1}(y) turns that sum into one incomplete gamma call plus the densities
+the PDF already needs:
 
-    F(x) = sum_k p_k P(R + k, y),
-    f(x) = sum_k p_k y^{R+k-1} e^{-y} / (Gamma(R + k) theta_1),
+    F(x) = P(R + K - 1, y) sum_k p_k + sum_{i=1}^{K-1} e_{R+i}(y) (p_0 + ... + p_{i-1}).
 
-with P the regularized lower incomplete gamma function.  Every term is
-non-negative, so neither sum cancels.
+Every term of either sum is non-negative, so neither cancels and the lower
+tail keeps its relative accuracy.  Each e_a(y) is exp((a-1) log y - y -
+log Gamma(a)), whose rounding grows with the exponent's size: the CDF's
+relative error is about that size times machine epsilon, up to about 4e-11
+at K near 1e5.
 """
 
 from __future__ import annotations
@@ -250,12 +257,14 @@ def invert_to_table(hcf, grid):
         cdf = np.where(y_all == np.inf, 1.0, 0.0)
         pos = np.nonzero((y_all > 0.0) & (y_all < np.inf))[0]
         step = max(1, _BLOCK // p.size)
+        p_total, p_cum = p.sum(), np.cumsum(p)[:-1]
         for i0 in range(0, pos.size, step):
             idx = pos[i0 : i0 + step]
             y = y_all[idx]
-            cdf[idx] = p @ special.gammainc(a, y)
+            dens = np.exp((a - 1.0) * np.log(y) - y - log_gamma_a)
+            cdf[idx] = special.gammainc(a[-1], y) * p_total + p_cum @ dens[1:]
             if with_pdf:
-                pdf[idx] = p @ np.exp((a - 1.0) * np.log(y) - y - log_gamma_a) / theta_1
+                pdf[idx] = p @ dens / theta_1
 
     warnings = () if with_pdf else (
         f"density omitted: total gamma exponent r (M-1) = {big_r:g} makes it "

@@ -30,17 +30,21 @@ from scipy import special
 from scipy.integrate import quad
 
 from .cumulants import sigma_M
-from .errors import DomainError, NumericalError
+from .errors import NumericalError
 from .weights import (
     GammaSumSpec,
     PowerLawWeights,
     _check_int,
     _check_m,
+    _check_real,
     _zeta_tail,
 )
 
 _REL_TOL = 1e-13
 _BLOCK = 4096
+# most explicit terms _log1p_power_tail sums before its series takes over;
+# more fail with NumericalError before anything that size is allocated
+_MAX_DIRECT_TERMS = 1 << 20
 
 # Euler-Maclaurin completion is applied only where a*gamma*L^(gamma-1), the
 # log-derivative of the summand at the cut L, is below this; the neglected
@@ -120,7 +124,13 @@ def _log1p_power_tail(b, gamma, start):
     if b == 0.0:
         return 0.0
     two_g = 2.0 * gamma
-    cut = max(start, _EM_MIN_CUT, int(math.ceil((2.0 * b) ** (1.0 / two_g))))
+    edge = (2.0 * b) ** (1.0 / two_g)
+    if not edge - start <= _MAX_DIRECT_TERMS:
+        raise NumericalError(
+            f"log1p power tail needs {edge - start:.3g} direct terms, over the "
+            f"budget of {_MAX_DIRECT_TERMS}"
+        )
+    cut = max(start, _EM_MIN_CUT, int(math.ceil(edge)))
     idx = np.arange(start, cut, dtype=float)
     total = float(np.log1p(b * idx ** (-two_g)).sum()) if cut > start else 0.0
     term_scale = None
@@ -154,9 +164,8 @@ def levy_tail_density(spec, m):
 
 
 def levy_density(d, x):
-    """Evaluate the tail Levy density at ``x > 0``."""
-    if not x > 0.0:
-        raise DomainError(f"Levy density is supported on (0, inf), got x={x!r}")
+    """Evaluate the tail Levy density at a finite ``x > 0``."""
+    x = _check_real(x, "Levy density point x", 0.0)
     w = d.spec.weights
     r = d.spec.r
     if isinstance(w, PowerLawWeights):
@@ -201,17 +210,25 @@ def cumulant_via_integral(spec, m, k):
 def re_log_cf(spec, m, u):
     """A_M(u) >= 0; the log-CF of the normalized tail has real part -A_M(u).
 
-    Closed log-sum form, truncated with error below 1e-12 of the total.
+    Closed log-sum form, truncated with error below 1e-12 of the total.  A
+    value or a direct-sum length out of range raises NumericalError.
     """
+    u = _check_real(u, "frequency u", -math.inf)
     sig = sigma_M(spec, m)
     if u == 0.0:
         return 0.0
     w = spec.weights
     r = spec.r
     if isinstance(w, PowerLawWeights):
-        b = (u * w.scale) ** 2 / (r * sig) ** 2
+        try:
+            b = (u * w.scale) ** 2 / (r * sig) ** 2
+        except OverflowError:
+            raise NumericalError(f"A_M(u) overflows at u = {u!r}") from None
         total = _log1p_power_tail(b, w.gamma, m)
     else:
         lam = np.asarray(w.values[m - 1 :], dtype=float)
-        total = float(np.log1p((u * lam) ** 2 / (r * sig) ** 2).sum())
+        with np.errstate(over="ignore"):
+            total = float(np.log1p((u * lam) ** 2 / (r * sig) ** 2).sum())
+        if total == math.inf:
+            raise NumericalError(f"A_M(u) overflows at u = {u!r}")
     return 0.5 * r * total

@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, zeta
 
 import gammasum
 from gammasum.cli import _load_spec, _parse_grid, dispatch
@@ -117,10 +117,12 @@ class TestDispatchBasics:
         "doc, k",
         [
             ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e308}}, 3),
-            ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e100}}, 4),
+            # kappa_5 = 24 r^(-3/2) s_5 / s_2^(5/2) is about 1e450
+            ({"r": 1e-300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 5),
             ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e200, 1]}}, 3),
-            ({"r": 1e-300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 3),
-            ({"r": 1e300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 3),
+            # sigma_M = C sqrt(zeta(1.5) / r) is about 1e200 / sqrt(r), beyond 1e308
+            ({"r": 1e-250, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e200}}, 4),
+            ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e308, 1e308]}}, 4),
         ],
     )
     def test_overflow_is_a_numerical_failure(self, tmp_path, capsys, doc, k):
@@ -130,6 +132,24 @@ class TestDispatchBasics:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("numerical failure:")
+
+    @pytest.mark.parametrize(
+        "doc, k",
+        [
+            ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e100}}, 4),
+            ({"r": 1e-300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 3),
+            ({"r": 1e300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 3),
+        ],
+        ids=["scale_1e100", "r_1e-300", "r_1e300"],
+    )
+    def test_scale_free_cumulants_in_range(self, tmp_path, capsys, doc, k):
+        # the raw power sums S_k or r^(k-1) sigma_M^k leave the float range
+        # here, but every reported value is representable
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        assert dispatch(["cumulants", "--spec", str(p), "--M", "1", "--K", str(k)]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert len(out["kappa"]) == k - 1 and out["kappa"][0] == 1.0
 
 
 class TestCumulantsCommand:
@@ -713,6 +733,30 @@ _SAMPLE_FILES = st.builds(
 )
 
 
+@st.composite
+def valid_zdist_runs(draw):
+    """(spec document, M, N, grid option) for a power law that zdist should
+    tabulate: gamma in [0.55, 4], r in [0.05, 20], M <= 8, at most 401 grid
+    points from -8.5 standard deviations of Z to the larger of +8.5 and 12
+    lambda_1 / r, where a small r's gamma tail has fallen below 1e-4.
+
+    The head mixture needs about 44 (M - 1)^gamma terms at r = 1, twice that
+    at r = 20, and each Z table evaluates them on thousands of head points,
+    so M is capped where (M - 1)^gamma reaches 20 to keep every run well
+    under a second.
+    """
+    gamma = draw(st.floats(0.55, 4.0))
+    r = draw(st.floats(0.05, 20.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    m = draw(st.integers(1, min(8, 1 + int(20.0 ** (1.0 / gamma)))))
+    n = draw(st.integers(2, 8))
+    sd = scale * math.sqrt(zeta(2.0 * gamma) / r)
+    lo, hi = -8.5 * sd, max(8.5 * sd, 12.0 * scale / r)
+    grid = f"--grid={lo!r}:{hi!r}:{draw(st.integers(9, 401))}"
+    doc = {"r": r, "weights": {"kind": "power_law", "gamma": gamma, "scale": scale}}
+    return doc, m, n, grid
+
+
 class TestFuzz:
     @given(
         doc=spec_documents(),
@@ -779,6 +823,25 @@ class TestFuzz:
             files = (("s.bin", samples),)
         rc, _, err = _run_fuzzed(doc, args, files=files)
         _check_exit_contract(rc, err)
+
+    @given(run=valid_zdist_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_zdist_valid_specs_finish(self, run):
+        # valid input ends in a table (exit 0) or a numerical failure
+        # (exit 3), never in a rejection; every file written is strict
+        doc, m, n, grid = run
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "z.csv")
+            args = ["zdist", "--M", str(m), "--N", str(n), grid, "--out", out]
+            rc, _, err = _run_fuzzed(doc, args)
+            _check_exit_contract(rc, err)
+            assert rc in (0, 3), err
+            if rc == 0:
+                data = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+                assert np.all(np.isfinite(data))
+                for name in ("z.csv.manifest.json", "z.summary.json"):
+                    with open(os.path.join(tmp, name)) as fh:
+                        json.loads(fh.read(), parse_constant=_reject_constant)
 
     @given(
         doc=spec_documents(),

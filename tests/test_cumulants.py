@@ -157,6 +157,24 @@ class TestCumulants:
         tc = cumulants(spec, 1, 20)
         assert len(tc.kappa) == 19
 
+    def test_scale_free(self):
+        # kappa does not depend on the weights' scale; at scale 1e100 the raw
+        # power sum S_4 = 1e400 zeta(3) is out of float range
+        kappas = [
+            cumulants(GammaSumSpec(r=0.5, weights=PowerLawWeights(0.75, scale)), 1, 4).kappa
+            for scale in (1e-100, 1.0, 1e100)
+        ]
+        assert kappas[0] == kappas[1] == kappas[2]
+        assert all(math.isfinite(v) for v in kappas[1])
+
+    def test_explicit_list_scale_free(self):
+        # lists are scaled by their first tail weight
+        base = (1.0, 0.6, 0.25, 0.1)
+        ref = cumulants(GammaSumSpec(r=0.5, weights=ExplicitWeights(base)), 2, 6).kappa
+        for scale in (1e-150, 1e150):
+            spec = GammaSumSpec(r=0.5, weights=ExplicitWeights(tuple(scale * v for v in base)))
+            assert cumulants(spec, 2, 6).kappa == pytest.approx(ref, rel=1e-14)
+
     def test_single_term_tail_closed_form(self):
         # Tail of one weight lambda: sigma_M = lambda/sqrt(r), kappa_3 = 2/sqrt(r).
         for r, lam in ((0.5, 0.3), (2.0, 1.7)):

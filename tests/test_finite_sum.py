@@ -3,8 +3,9 @@
 Oracles: the closed-form shifted-gamma distribution for a one-term head, the
 hypoexponential closed form for distinct weights at r = 1, the Kummer-form
 density of a two-weight head integrated by mpmath, the closed-form CF (per
-factor, and against the mixture's own CF), the per-factor Levy integral
-evaluated by quadrature, and the Monte-Carlo sampler.
+factor, and against the mixture's own CF), the per-term incomplete gamma
+sum of the mixture CDF, the per-factor Levy integral evaluated by quadrature,
+and the Monte-Carlo sampler.
 """
 
 import cmath
@@ -32,6 +33,7 @@ from gammasum.mc_oracle import ks_distance, sample_head
 from gammasum.weights import (
     ExplicitWeights,
     GammaSumSpec,
+    PowerLawWeights,
     make_power_law_normalized,
 )
 
@@ -327,6 +329,38 @@ class TestMixtureOracles:
         hcf = make_head_cf(make_power_law_normalized(gamma=0.75, r=r), m)
         for u in (0.1, 1.0, 10.0, 100.0):
             assert abs(mixture_cf(hcf, u) - hcf.cf(u)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec, m, rtol",
+        [
+            (make_power_law_normalized(gamma=0.75, r=2.0), 20, 1e-12),  # K = 453
+            (GammaSumSpec(r=1.0, weights=PowerLawWeights(3.5, 1.0)), 6, 1e-10),  # K = 12288
+        ],
+    )
+    def test_cdf_matches_per_term_incomplete_gamma_sum(self, spec, m, rtol):
+        # the table's CDF takes one incomplete gamma call per point and the
+        # gamma densities; the second route sums p_k P(R + k, y) term by
+        # term, on the bulk grid plus points from 0.5 down to 1e-6 times
+        # sum lambda right of the support's left end, where the CDF falls
+        # as low as about 1e-210
+        hcf = make_head_cf(spec, m)
+        lam = np.asarray(hcf.lam)
+        grid = np.union1d(
+            default_grid(spec, m, 201), lam.sum() * (np.geomspace(1e-6, 0.5, 200) - 1.0)
+        )
+        table = invert_to_table(hcf, grid)
+        theta = lam / spec.r
+        p, _ = _mixture_weights(theta, spec.r)
+        shape = (spec.r * lam.size + np.arange(p.size))[:, None]
+        y = (grid + lam.sum()) / theta.min()
+        ref = np.zeros(grid.size)
+        pos = y > 0.0
+        ref[pos] = np.concatenate(
+            [p @ special.gammainc(shape, part) for part in np.array_split(y[pos], 8)]
+        )
+        keep = ref > 1e-300
+        assert keep.sum() > 300
+        assert np.max(np.abs(table.cdf[keep] / ref[keep] - 1.0)) <= rtol
 
     def test_term_budget_fails_early(self):
         # c = 1 - 1e-9 needs about 4.2e10 terms

@@ -143,6 +143,17 @@ class TestLevyDensity:
             with pytest.raises(DomainError):
                 levy_density(d, bad)
 
+    def test_string_point_rejected(self):
+        d = levy_tail_density(reference_spec(), 5)
+        with pytest.raises(DomainError):
+            levy_density(d, "a")
+
+    def test_bool_point_rejected(self):
+        # True is not the point x = 1
+        d = levy_tail_density(reference_spec(), 5)
+        with pytest.raises(DomainError):
+            levy_density(d, True)
+
     @given(st.floats(0.01, 20.0))
     @settings(max_examples=40, deadline=None)
     def test_nonnegative(self, x):
@@ -222,6 +233,25 @@ class TestReLogCf:
         a1, a2 = re_log_cf(spec, 10, 1.0), re_log_cf(spec, 10, 2.0)
         assert 0.0 < a1 < a2
         assert re_log_cf(spec, 10, -2.0) == pytest.approx(a2, rel=1e-14)
+
+    def test_infinite_frequency_rejected(self):
+        with pytest.raises(DomainError):
+            re_log_cf(reference_spec(), 5, math.inf)
+
+    def test_overflowing_frequency_is_numerical(self):
+        # (u C)^2 leaves the float range
+        with pytest.raises(NumericalError, match="overflows"):
+            re_log_cf(reference_spec(), 5, 1e200)
+
+    def test_direct_sum_budget_fails_early(self):
+        # u = 1e6 would need about 2.6e8 explicit terms below the series cut
+        with pytest.raises(NumericalError, match="budget"):
+            re_log_cf(reference_spec(), 5, 1e6)
+
+    def test_overflowing_explicit_frequency_is_numerical(self):
+        spec = GammaSumSpec(r=1.0, weights=ExplicitWeights((1.0, 0.5)))
+        with pytest.raises(NumericalError, match="overflows"):
+            re_log_cf(spec, 1, 1e200)
 
     @given(st.floats(-30.0, 30.0))
     @settings(max_examples=40, deadline=None)
