@@ -7,11 +7,11 @@ normalized tail Y_tilde_M = Y_M / sigma_M has cumulants
     kappa_{k,M} = (k-1)! / (r^{k-1} sigma_M^k) * S_k(M)
                 = (k-1)! r^{1-k/2} s_k / s_2^{k/2},    k >= 2,
 
-with kappa_{2,M} = 1 identically.  They do not depend on the weights'
-scale, so they are formed from the power sums s_k of lambda_n / c, with c
-the scale of a power law or the first tail weight lambda_M of a list: s_k
-is then zeta(k gamma, M) or a sum of terms at most 1, and a scale whose
-powers leave the float range does not matter.
+with kappa_{2,M} = 1 identically.  ``weights.tail_power_sum`` gives
+S_k(M) = c^k s_k with one factor c for every k (a power law's scale, or a
+list's first tail weight lambda_M), so sigma_M = c sqrt(s_2 / r) and the
+kappas, which do not depend on the weights' scale, are formed from the
+s_k alone: a scale whose powers leave the float range does not matter.
 
 Because Y_tilde_M is an infinitely divisible pure-jump variable,
 sup_x |P[Y_tilde_M <= x] - Phi(x)| is bounded by 0.7056 * kappa_{3,M}
@@ -28,15 +28,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateTailError, DomainError, NumericalError
-from .weights import (
-    GammaSumSpec,
-    PowerLawWeights,
-    _check_int,
-    _check_m,
-    _zeta_tail,
-    tail_power_sum,
-    tail_weight_sum,
-)
+from .weights import GammaSumSpec, _check_int, _check_m, tail_power_sum, tail_weight_sum
 
 __all__ = [
     "BERRY_ESSEEN_CONSTANT",
@@ -75,8 +67,10 @@ class TailCumulants:
 
 
 def _tail_sd(spec: GammaSumSpec, m: int) -> float:
-    """sqrt((1/r) sum_{n>=M} lambda_n^2), which is 0.0 for an empty tail."""
-    sd = math.sqrt(tail_power_sum(spec, m, 2) / spec.r)
+    """c sqrt(s_2 / r) = sqrt((1/r) sum_{n>=M} lambda_n^2), which is 0.0 for
+    an empty or underflowed tail."""
+    c, s2 = tail_power_sum(spec, m, 2)
+    sd = c * math.sqrt(s2 / spec.r)
     if sd == math.inf:
         raise NumericalError(f"tail variance (1/r) S_2(M) overflows at M = {m}")
     return sd
@@ -94,16 +88,9 @@ def sigma_M(spec: GammaSumSpec, m: int) -> float:
 
 
 def _scaled_power_sum(spec: GammaSumSpec, m: int, k: int) -> float:
-    """s_k = sum_{n>=M} (lambda_n / c)^k, c the power law's scale or lambda_M.
-
-    The tail must be non-empty; a sum that underflows raises NumericalError.
-    """
-    w = spec.weights
-    if isinstance(w, PowerLawWeights):
-        sk = _zeta_tail(k * w.gamma, m)
-    else:
-        c = w.values[m - 1]
-        sk = math.fsum((v / c) ** k for v in w.values[m - 1 :])
+    """s_k = S_k(M) / c^k; the tail must be non-empty, and a sum that
+    underflows raises NumericalError."""
+    sk = tail_power_sum(spec, m, k)[1]
     if sk == 0.0:
         raise NumericalError(f"scaled tail power sum s_{k} underflows at M = {m}")
     return sk

@@ -118,8 +118,9 @@ class DistributionTable:
         object.__setattr__(self, "cdf", cdf)
         if cdf.shape != grid.shape:
             raise DomainError("cdf length must match the grid")
-        if np.any(cdf < 0.0) or np.any(cdf > 1.0) or np.any(np.diff(cdf) < 0.0):
-            raise NumericalError("cdf must be non-decreasing within [0, 1]")
+        # written so that a NaN, which fails every comparison, fails the test
+        if not (np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(np.diff(cdf) >= 0.0)):
+            raise NumericalError("cdf must be finite and non-decreasing within [0, 1]")
         if cdf[0] > 0.001 or cdf[-1] < 0.999:
             raise DomainError(
                 "grid does not cover the bulk: need cdf <= 0.001 at the left "
@@ -128,8 +129,8 @@ class DistributionTable:
         if self.pdf is not None:
             pdf = np.asarray(self.pdf, dtype=float)
             object.__setattr__(self, "pdf", pdf)
-            if pdf.shape != grid.shape or np.any(pdf < 0.0):
-                raise NumericalError("pdf must be non-negative on the grid")
+            if pdf.shape != grid.shape or not np.all((pdf >= 0.0) & (pdf < math.inf)):
+                raise NumericalError("pdf must be finite and non-negative on the grid")
             mass = float(np.trapezoid(pdf, grid))
             if not 0.998 <= mass <= 1.002:
                 raise NumericalError(f"pdf mass {mass:.6f} outside [0.998, 1.002]")

@@ -15,6 +15,10 @@ and the real part of the log-characteristic function of the normalized tail,
     -A_M(u),  A_M(u) = (r/2) sum_{n >= M} log(1 + u^2 lambda_n^2 / (r sigma_M)^2)
             = integral_0^inf (1 - cos ux) nu_M(x) dx.
 
+With S_2(M) = c^2 s_2 (see ``weights.tail_power_sum``), (r sigma_M)^2 =
+r c^2 s_2, so A_M depends on the weights through b = u^2 / (r s_2) and
+lambda_n / c alone, never through the scale c.
+
 For power-law weights the n-series decay slowly at small x; sums are
 completed with an Euler-Maclaurin tail so every evaluation stays cheap while
 keeping the truncation error far below 1e-12 of the retained sum.
@@ -38,6 +42,7 @@ from .weights import (
     _check_m,
     _check_real,
     _zeta_tail,
+    tail_power_sum,
 )
 
 _REL_TOL = 1e-13
@@ -214,21 +219,18 @@ def re_log_cf(spec, m, u):
     value or a direct-sum length out of range raises NumericalError.
     """
     u = _check_real(u, "frequency u", -math.inf)
-    sig = sigma_M(spec, m)
+    sigma_M(spec, m)  # an empty tail has no normalized CF
     if u == 0.0:
         return 0.0
     w = spec.weights
     r = spec.r
+    c, s2 = tail_power_sum(spec, m, 2)
+    b = u * u / r / s2
+    if b == math.inf:
+        raise NumericalError(f"A_M(u) overflows at u = {u!r}")
     if isinstance(w, PowerLawWeights):
-        try:
-            b = (u * w.scale) ** 2 / (r * sig) ** 2
-        except OverflowError:
-            raise NumericalError(f"A_M(u) overflows at u = {u!r}") from None
         total = _log1p_power_tail(b, w.gamma, m)
     else:
-        lam = np.asarray(w.values[m - 1 :], dtype=float)
-        with np.errstate(over="ignore"):
-            total = float(np.log1p((u * lam) ** 2 / (r * sig) ** 2).sum())
-        if total == math.inf:
-            raise NumericalError(f"A_M(u) overflows at u = {u!r}")
+        lam = np.asarray(w.values[m - 1 :], dtype=float) / c
+        total = float(np.log1p(b * lam * lam).sum())
     return 0.5 * r * total

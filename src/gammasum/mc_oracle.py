@@ -75,15 +75,15 @@ def _check_mode(mode):
 
 def _default_terms(spec, start):
     """Smallest term count from ``start`` meeting the neglected-sd target,
-    capped at _TERM_CAP."""
+    capped at _TERM_CAP; a tail sd that underflows to 0 meets it."""
     if not isinstance(spec.weights, PowerLawWeights):
         return len(spec.weights.values) - (start - 1)
     lo, hi = 1, _TERM_CAP
-    if sigma_M(spec, start + hi) > _NEGLECTED_SD_TARGET:
+    if _tail_sd(spec, start + hi) > _NEGLECTED_SD_TARGET:
         return _TERM_CAP
     while lo < hi:
         mid = (lo + hi) // 2
-        if sigma_M(spec, start + mid) <= _NEGLECTED_SD_TARGET:
+        if _tail_sd(spec, start + mid) <= _NEGLECTED_SD_TARGET:
             hi = mid
         else:
             lo = mid + 1

@@ -15,15 +15,20 @@ the result by ~1e-9).
 The head CDF enters through a monotone cubic interpolant of a dense
 head table, so each output point costs one weighted dot product.  That
 table spans the output grid widened by the tail window, so every node
-difference x - y lands inside it and no value is extrapolated.
+difference x - y lands inside it and no value is extrapolated.  The
+interpolants and their evaluation points are taken in units of
+sigma_1 = sd(Z), so PCHIP never sees a node spacing that scales with the
+weights: a table on the grid c x for weights c lambda_n is the table on x,
+to rounding, for every c the float range holds.
 One caveat: a head whose density is unbounded or jumps at its left end
 (total gamma exponent r (M-1) <= 1) puts a kink into the integrand and
 drags the rule back to ~h^1.5, about 1e-5 at this node count; refinement
 claims should be checked per case in that regime.
 
 M = 1 has an empty head and returns the rescaled expansion itself; a tail
-with zero variance (explicit weight list exhausted, or a degenerate stub)
-collapses the convolution to the bare head table.
+whose sd is below 1e-12 sigma_1 (explicit weight list exhausted, an
+underflowed power-law tail, or a degenerate stub) collapses the
+convolution to the bare head table.
 
 The expansion density integrates as-is where it dips negative; when the
 negative part exceeds 1e-3 in mass a quality warning is attached and the
@@ -105,36 +110,37 @@ def _expansion_for(spec, m, n_order):
     return build_expansion(cumulants(spec, m, max(n_order, 3)), n_order)
 
 
-def _head_table(cfg, sig):
+def _head_table(cfg, sig, sd):
     lo = cfg.grid[0] - _TAIL_HALF_WIDTH * sig
     hi = cfg.grid[-1] + _TAIL_HALF_WIDTH * sig
-    h_target = min(float(np.min(np.diff(cfg.grid))), sigma_M(cfg.spec, 1) / 250.0)
+    h_target = min(float(np.min(np.diff(cfg.grid))), sd / 250.0)
     n = int(np.clip(math.ceil((hi - lo) / h_target) + 1, 801, 8001))
     return invert_to_table(make_head_cf(cfg.spec, cfg.M), np.linspace(lo, hi, n))
 
 
-def _convolve(cfg, ex, sig):
+def _convolve(cfg, ex, sig, sd):
     """(head table, tail mass, CDF, PDF or None): the head table convolved
-    with the tail density on the trapezoid nodes."""
+    with the tail density on the trapezoid nodes, in units of ``sd``."""
     y = np.linspace(-_TAIL_HALF_WIDTH * sig, _TAIL_HALF_WIDTH * sig, _QUAD_POINTS)
     wf = _trapezoid_weights(_QUAD_POINTS, y[1] - y[0])
     wf *= edgeworth_pdf(ex, y / sig) / sig
-    head = _head_table(cfg, sig)
+    head = _head_table(cfg, sig, sd)
+    hx, xs, ys = head.grid / sd, cfg.grid / sd, y / sd
     # a PCHIP slope is a weighted harmonic mean of secants, the reciprocal of
     # sum w / secant: a subnormal secant overflows that sum to inf, and its
     # reciprocal, slope 0, is the correct limit
     with np.errstate(divide="ignore", over="ignore"):
-        f_interp = PchipInterpolator(head.grid, head.cdf, extrapolate=True)
+        f_interp = PchipInterpolator(hx, head.cdf, extrapolate=True)
         p_interp = (
-            PchipInterpolator(head.grid, head.pdf, extrapolate=True)
+            PchipInterpolator(hx, head.pdf, extrapolate=True)
             if head.pdf is not None
             else None
         )
     cdf = np.empty(cfg.grid.size)
     pdf = np.empty(cfg.grid.size) if p_interp is not None else None
     for i0 in range(0, cfg.grid.size, _GRID_CHUNK):
-        # monotone rounding keeps x in the head grid [grid[0] - y[-1], grid[-1] - y[0]]
-        x = cfg.grid[i0 : i0 + _GRID_CHUNK, None] - y[None, :]
+        # x lies in the head grid [xs[0] - ys[-1], xs[-1] - ys[0]] up to rounding
+        x = xs[i0 : i0 + _GRID_CHUNK, None] - ys[None, :]
         cdf[i0 : i0 + _GRID_CHUNK] = f_interp(x) @ wf
         if p_interp is not None:
             pdf[i0 : i0 + _GRID_CHUNK] = p_interp(x) @ wf
@@ -144,7 +150,8 @@ def _convolve(cfg, ex, sig):
 def z_cdf(cfg):
     """Tabulate F_Z on the configured grid; PDF included when the head has one."""
     sig = _tail_sd(cfg.spec, cfg.M)
-    if cfg.M > 1 and sig < _POINT_MASS_EPS:
+    sd = sigma_M(cfg.spec, 1)
+    if cfg.M > 1 and sig < _POINT_MASS_EPS * sd:
         head = invert_to_table(make_head_cf(cfg.spec, cfg.M), cfg.grid)
         diagnostics = {
             "tail_mass": 0.0,
@@ -160,7 +167,7 @@ def z_cdf(cfg):
         cdf, pdf = edgeworth_cdf(ex, t), edgeworth_pdf(ex, t) / sig
         warnings, tail_mass, head_part = (), 1.0, {}
     else:
-        head, tail_mass, cdf, pdf = _convolve(cfg, ex, sig)
+        head, tail_mass, cdf, pdf = _convolve(cfg, ex, sig, sd)
         warnings = head.warnings
         head_part = {"head_series_tail_mass": head.diagnostics["series_tail_mass"]}
     neg_mass = negative_pdf_mass(ex)

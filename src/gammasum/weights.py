@@ -11,13 +11,18 @@ functions) reduces to power sums of the weights
 
     S_k(M) = sum_{n>=M} lambda_n^k,
 
-which this module computes to near machine precision for two families:
+which this module computes to near machine precision for two families.
+A sum is returned as a pair (c, s) with S_k(M) = c^k s: the weights' scale
+is the one factor c, and s is the power sum of lambda_n / c, so a scale
+whose powers leave the float range never enters s.
 
 * ``PowerLawWeights``: lambda_n = C n^{-gamma} with gamma > 1/2 (square
-  summability).  Then S_k(M) = C^k sum_{n>=M} n^{-k gamma}, the Hurwitz
+  summability).  Then c = C and s = sum_{n>=M} n^{-k gamma}, the Hurwitz
   zeta function zeta(k gamma, M), computed by ``scipy.special.zeta``.
 * ``ExplicitWeights``: a finite non-increasing list of positive weights;
   the sequence is exactly zero beyond the list, so all sums are finite.
+  Then c = lambda_M, so every term of s is at most 1; an empty tail gives
+  (0.0, 0.0).
 
 Choosing (1/r) S_2(1) = 1 gives Var Z = 1; ``make_power_law_normalized``
 enforces this in closed form via C = (zeta(2 gamma)/r)^{-1/2}.
@@ -105,13 +110,14 @@ class PowerLawWeights:
         """Array (lambda_1, ..., lambda_{m-1})."""
         return self.scale * np.arange(1, m, dtype=np.float64) ** (-self.gamma)
 
-    def tail_power_sum(self, m: int, k: int) -> float:
+    def tail_power_sum(self, m: int, k: int) -> tuple:
+        """(scale, zeta(k gamma, M))."""
         s = k * self.gamma
         if s <= 1.0:
             raise DomainError(
                 f"sum of lambda_n^{k} diverges: k*gamma = {s} <= 1"
             )
-        return self.scale**k * _zeta_tail(s, m)
+        return self.scale, _zeta_tail(s, m)
 
 
 @dataclass(frozen=True)
@@ -136,12 +142,13 @@ class ExplicitWeights:
     def head(self, m: int) -> np.ndarray:
         return np.asarray(self.values[: m - 1], dtype=np.float64)
 
-    def tail_power_sum(self, m: int, k: int) -> float:
-        """sum of lambda_n^k from index m on; inf when it overflows."""
-        try:
-            return math.fsum(v**k for v in self.values[m - 1 :])
-        except OverflowError:
-            return math.inf
+    def tail_power_sum(self, m: int, k: int) -> tuple:
+        """(lambda_M, sum of (lambda_n / lambda_M)^k from index m on)."""
+        tail = self.values[m - 1 :]
+        if not tail:
+            return 0.0, 0.0
+        c = tail[0]
+        return c, math.fsum((v / c) ** k for v in tail)
 
 
 WeightSequence = Union[PowerLawWeights, ExplicitWeights]
@@ -160,7 +167,8 @@ class GammaSumSpec:
     def __post_init__(self):
         object.__setattr__(self, "r", _check_real(self.r, "gamma shape r", 0.0))
         if self.normalized:
-            s2 = self.weights.tail_power_sum(1, 2)
+            c, s = self.weights.tail_power_sum(1, 2)
+            s2 = c * c * s
             if abs(s2 / self.r - 1.0) > _NORMALIZATION_RTOL:
                 raise DomainError(
                     f"normalized flag set but (1/r) sum lambda_n^2 = {s2 / self.r!r}"
@@ -183,8 +191,9 @@ def _check_m(m: int) -> int:
     return _check_int(m, "truncation index M", 1)
 
 
-def tail_power_sum(spec: GammaSumSpec, m: int, k: int) -> float:
-    """S_k(M) = sum_{n>=M} lambda_n^k for k >= 2 (exact tail, not truncated)."""
+def tail_power_sum(spec: GammaSumSpec, m: int, k: int) -> tuple:
+    """(c, s) with S_k(M) = sum_{n>=M} lambda_n^k = c^k s for k >= 2 (exact
+    tail, not truncated); c depends on the family and M, never on k."""
     return spec.weights.tail_power_sum(_check_m(m), _check_int(k, "power k", 2))
 
 
@@ -194,7 +203,8 @@ def tail_weight_sum(spec: GammaSumSpec, m: int) -> float:
     w = spec.weights
     if isinstance(w, PowerLawWeights) and w.gamma <= 1.0:
         return math.inf
-    return w.tail_power_sum(m, 1)
+    c, s = w.tail_power_sum(m, 1)
+    return c * s
 
 
 def spec_to_dict(spec: GammaSumSpec) -> dict:
@@ -245,8 +255,8 @@ def spec_from_dict(d: dict) -> GammaSumSpec:
         raise SpecFormatError(f"unknown weights kind {kind!r}")
     spec = GammaSumSpec(r=_require_number(d["r"], "'r'"), weights=weights)
     if "normalized" not in d:
-        s2 = weights.tail_power_sum(1, 2)
-        return replace(spec, normalized=abs(s2 / spec.r - 1.0) <= _NORMALIZATION_RTOL)
+        c, s = weights.tail_power_sum(1, 2)
+        return replace(spec, normalized=abs(c * c * s / spec.r - 1.0) <= _NORMALIZATION_RTOL)
     if not isinstance(d["normalized"], bool):
         raise SpecFormatError("field 'normalized' must be a boolean")
     return replace(spec, normalized=d["normalized"])

@@ -119,7 +119,8 @@ class TestDispatchBasics:
             ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e308}}, 3),
             # kappa_5 = 24 r^(-3/2) s_5 / s_2^(5/2) is about 1e450
             ({"r": 1e-300, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1}}, 5),
-            ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e200, 1]}}, 3),
+            # sigma_M = c sqrt(s_2 / r) = 1e160 / sqrt(1e-300) is beyond 1e308
+            ({"r": 1e-300, "weights": {"kind": "explicit", "values": [1e160]}}, 3),
             # sigma_M = C sqrt(zeta(1.5) / r) is about 1e200 / sqrt(r), beyond 1e308
             ({"r": 1e-250, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e200}}, 4),
             ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e308, 1e308]}}, 4),
@@ -150,6 +151,27 @@ class TestDispatchBasics:
         assert dispatch(["cumulants", "--spec", str(p), "--M", "1", "--K", str(k)]) == 0
         out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert len(out["kappa"]) == k - 1 and out["kappa"][0] == 1.0
+
+    @pytest.mark.parametrize(
+        "doc, sigma",
+        [
+            ({"r": 0.5, "weights": {"kind": "power_law", "gamma": 0.75, "scale": 1e160}},
+             2.2857713571945415e160),
+            ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e200, 1e200]}}, 2e200),
+            ({"r": 0.5, "weights": {"kind": "explicit", "values": [1e200, 1]}},
+             1.414213562373095e200),
+        ],
+        ids=["scale_1e160", "list_1e200_1e200", "list_1e200_1"],
+    )
+    def test_representable_sigma_with_overflowing_square(self, tmp_path, capsys, doc, sigma):
+        # S_2 = c^2 s_2 leaves the float range, but sigma_M = c sqrt(s_2 / r)
+        # and every kappa are representable
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(doc))
+        assert dispatch(["cumulants", "--spec", str(p), "--M", "1", "--K", "4"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert out["sigma_M"] == pytest.approx(sigma, rel=1e-15)
+        assert len(out["kappa"]) == 3 and out["kappa"][0] == 1.0
 
 
 class TestCumulantsCommand:
@@ -808,7 +830,7 @@ class TestFuzz:
         doc={"r": 1e280, "weights": {"kind": "explicit", "values": [1e-20, 1e-20]}},
         m=3, n=3, grid="--grid=-1e10:1e10:11", robustness=None, samples=None,
     )
-    @example(  # S_2 = 2e310 overflows, so the tail sd is inf
+    @example(  # S_2 = 2e310 leaves the float range; sigma_M = 1e155 does not
         doc={"r": 1.0, "weights": {"kind": "explicit", "values": [1e155, 1e155]}},
         m=2, n=2, grid="--grid=-8.0:8.0:9", robustness=None, samples=None,
     )

@@ -438,6 +438,16 @@ class TestDistributionTable:
         with pytest.raises(Exception):
             DistributionTable(grid=grid, cdf=cdf, pdf=3.0 * pdf)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", ["cdf", "pdf"])
+    def test_non_finite_entries_rejected(self, column, bad):
+        # a NaN fails every < and > comparison, so it needs its own test
+        grid = np.linspace(-8, 8, 1001)
+        cols = {"cdf": special.ndtr(grid), "pdf": np.exp(-grid * grid / 2.0) / math.sqrt(2 * math.pi)}
+        cols[column][500] = bad
+        with pytest.raises(NumericalError, match="finite"):
+            DistributionTable(grid=grid, **cols)
+
     def test_monotone_enforced(self):
         grid = np.linspace(-8, 8, 101)
         cdf = special.ndtr(grid).copy()

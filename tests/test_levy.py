@@ -239,7 +239,7 @@ class TestReLogCf:
             re_log_cf(reference_spec(), 5, math.inf)
 
     def test_overflowing_frequency_is_numerical(self):
-        # (u C)^2 leaves the float range
+        # u * u leaves the float range, so b = u^2 / (r s_2) reads inf
         with pytest.raises(NumericalError, match="overflows"):
             re_log_cf(reference_spec(), 5, 1e200)
 

@@ -24,6 +24,7 @@ from gammasum.mc_oracle import (
 from gammasum.weights import (
     ExplicitWeights,
     GammaSumSpec,
+    PowerLawWeights,
     make_power_law_normalized,
 )
 
@@ -84,6 +85,15 @@ class TestSampler:
         assert batch.neglected_sd == pytest.approx(
             sigma_M(reference_spec(), 4097), rel=1e-12
         )
+
+    def test_default_term_rule_with_underflowed_tail(self):
+        # zeta(100, 4097) underflows to 0, so the tail sd at the cap reads 0:
+        # that meets the target instead of reading as an empty tail
+        spec = GammaSumSpec(r=0.5, weights=PowerLawWeights(gamma=50.0, scale=1.0))
+        batch = sample_z(spec, "normal_tail", 10, seed=0)
+        assert batch.n_terms == 1
+        assert 0.0 < batch.neglected_sd <= 1e-4
+        assert np.all(np.isfinite(batch.values))
 
     def test_default_term_rule_met_when_feasible(self):
         values = tuple(2.0 ** -(n + 1) for n in range(30))

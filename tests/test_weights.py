@@ -30,6 +30,12 @@ from gammasum.weights import (
 )
 
 
+def raw_sum(pair, k):
+    """S_k(M) = c**k * s from the (c, s) pair of a tail power sum."""
+    c, s = pair
+    return c**k * s
+
+
 class TestZeta:
     def test_against_brute_force_oracle(self):
         for s in (1.1, 1.5, 2.0, 3.0, 6.0):
@@ -100,43 +106,46 @@ class TestExplicitWeights:
 
     def test_tail_beyond_list_is_zero(self):
         spec = GammaSumSpec(r=1.0, weights=ExplicitWeights(values=(1.0,)))
-        assert tail_power_sum(spec, 2, 2) == 0.0
+        assert tail_power_sum(spec, 2, 2) == (0.0, 0.0)
 
 
 class TestTailPowerSum:
     def test_normalized_m1_k2_recovers_r(self):
         spec = make_power_law_normalized(gamma=0.75, r=0.5)
-        assert tail_power_sum(spec, 1, 2) == pytest.approx(0.5, rel=1e-12)
+        assert raw_sum(tail_power_sum(spec, 1, 2), 2) == pytest.approx(0.5, rel=1e-12)
 
     def test_reference_m5_k3_against_brute_sum(self):
         spec = make_power_law_normalized(gamma=0.75, r=0.5)
         c = spec.weights.scale
         oracle = c**3 * brute_zeta_tail(2.25, start=5)
-        assert tail_power_sum(spec, 5, 3) == pytest.approx(oracle, abs=1e-10)
+        assert raw_sum(tail_power_sum(spec, 5, 3), 3) == pytest.approx(oracle, abs=1e-10)
 
     def test_near_divergent_exponent_against_brute_sum(self):
         # k*gamma = 1.02: slowly converging tail exercises the correction terms.
         spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=0.51, scale=1.0))
         oracle = brute_zeta_tail(1.02, start=7, n_terms=2 * 10**7)
-        assert tail_power_sum(spec, 7, 2) == pytest.approx(oracle, rel=1e-9)
+        assert raw_sum(tail_power_sum(spec, 7, 2), 2) == pytest.approx(oracle, rel=1e-9)
 
     def test_explicit_tail_sums(self):
         spec = GammaSumSpec(r=1.0, weights=ExplicitWeights(values=(1.0, 0.5, 0.25)))
-        assert tail_power_sum(spec, 1, 2) == pytest.approx(1.0 + 0.25 + 0.0625)
-        assert tail_power_sum(spec, 2, 3) == pytest.approx(0.125 + 0.015625)
-        assert tail_power_sum(spec, 4, 2) == 0.0
+        assert raw_sum(tail_power_sum(spec, 1, 2), 2) == pytest.approx(1.0 + 0.25 + 0.0625)
+        assert raw_sum(tail_power_sum(spec, 2, 3), 3) == pytest.approx(0.125 + 0.015625)
+        assert raw_sum(tail_power_sum(spec, 4, 2), 2) == 0.0
 
     def test_overflowing_explicit_sum_is_infinite(self):
-        # 1e308^2 leaves the float range; the sum reads inf, not an errno error
+        # 1e308^2 leaves the float range, but the pair (c, s) stays in it and
+        # c * c * s reads inf, not an errno error (c**2 would raise)
         spec = GammaSumSpec(r=0.5, weights=ExplicitWeights(values=(1e308, 1e308)))
-        assert tail_power_sum(spec, 1, 2) == math.inf
-        assert spec.weights.tail_power_sum(1, 1) == math.inf
+        c, s = tail_power_sum(spec, 1, 2)
+        assert (c, s) == (1e308, 2.0) and c * c * s == math.inf
+        c, s = spec.weights.tail_power_sum(1, 1)
+        assert c * s == math.inf
         doc = {"r": 0.5, "weights": {"kind": "explicit", "values": [1e308, 1e308]}}
         assert not spec_from_dict(doc).normalized
 
     def test_strictly_decreasing_in_m_for_power_law(self):
         spec = make_power_law_normalized(gamma=0.75, r=0.5)
-        vals = [tail_power_sum(spec, m, 3) for m in range(1, 30)]
+        vals = [raw_sum(tail_power_sum(spec, m, 3), 3) for m in range(1, 30)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_rejects_divergent_power_law(self):
@@ -160,8 +169,8 @@ class TestTailPowerSum:
     @settings(max_examples=60, deadline=None)
     def test_telescoping_power_law(self, gamma, m, k):
         spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=gamma, scale=1.3))
-        s_m = tail_power_sum(spec, m, k)
-        s_next = tail_power_sum(spec, m + 1, k)
+        s_m = raw_sum(tail_power_sum(spec, m, k), k)
+        s_next = raw_sum(tail_power_sum(spec, m + 1, k), k)
         lam_m = spec.weights.value(m)
         assert s_m == pytest.approx(s_next + lam_m**k, rel=1e-12, abs=1e-300)
 
@@ -174,8 +183,8 @@ class TestTailPowerSum:
     def test_telescoping_explicit(self, values, m, k):
         ordered = tuple(sorted(values, reverse=True))
         spec = GammaSumSpec(r=2.0, weights=ExplicitWeights(values=ordered))
-        s_m = tail_power_sum(spec, m, k)
-        s_next = tail_power_sum(spec, m + 1, k)
+        s_m = raw_sum(tail_power_sum(spec, m, k), k)
+        s_next = raw_sum(tail_power_sum(spec, m + 1, k), k)
         lam_m = ordered[m - 1] if m <= len(ordered) else 0.0
         assert s_m == pytest.approx(s_next + lam_m**k, rel=1e-12, abs=0.0)
 
@@ -216,7 +225,7 @@ class TestNormalization:
     def test_variance_normalization_holds(self, gamma, r):
         spec = make_power_law_normalized(gamma=gamma, r=r)
         assert spec.normalized
-        assert tail_power_sum(spec, 1, 2) / r == pytest.approx(1.0, rel=1e-12)
+        assert raw_sum(tail_power_sum(spec, 1, 2), 2) / r == pytest.approx(1.0, rel=1e-12)
 
     def test_normalized_flag_is_checked(self):
         with pytest.raises(DomainError):
