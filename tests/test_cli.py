@@ -302,6 +302,24 @@ class TestHeadCommand:
         assert header == ["x", "cdf", "pdf"]
         assert data[0, 1] <= 0.001 and data[-1, 1] >= 0.999
 
+    @pytest.mark.parametrize("r, grid", [(1.0, "-8:8:2001"), (10.0, "-2.6:2.6:2001")])
+    def test_steep_power_law_past_former_budget_exits_0(self, tmp_path, capsys, r, grid):
+        # gamma = 3.5 at M = 12 needs about 2e5 (r = 1) and 3e5 (r = 10)
+        # terms, which the former budget of 100,000 refused with exit 3
+        spec = tmp_path / "steep.json"
+        spec.write_text(json.dumps(
+            {"r": r, "weights": {"kind": "power_law", "gamma": 3.5, "scale": 1.0}}
+        ))
+        out = tmp_path / "steep.csv"
+        rc = dispatch(
+            ["head", "--spec", str(spec), "--M", "12", f"--grid={grid}", "--out", str(out)]
+        )
+        assert rc == 0
+        capsys.readouterr()
+        header, data = read_csv(str(out))
+        assert header == ["x", "cdf", "pdf"]
+        assert data[0, 1] <= 0.001 and data[-1, 1] >= 0.999
+
     def test_term_budget_exits_3_quickly(self, tmp_path, capsys):
         spec = tmp_path / "wide.json"
         spec.write_text(json.dumps(

@@ -4,8 +4,9 @@ Oracles: the closed-form shifted-gamma distribution for a one-term head, the
 hypoexponential closed form for distinct weights at r = 1, the Kummer-form
 density of a two-weight head integrated by mpmath, the closed-form CF (per
 factor, and against the mixture's own CF), the per-term incomplete gamma
-sum of the mixture CDF, the per-factor Levy integral evaluated by quadrature,
-and the Monte-Carlo sampler.
+sum of the mixture CDF, the full K-term sum that each windowed block
+shortens, the per-factor Levy integral evaluated by quadrature, and the
+Monte-Carlo sampler.
 """
 
 import cmath
@@ -331,22 +332,25 @@ class TestMixtureOracles:
             assert abs(mixture_cf(hcf, u) - hcf.cf(u)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "spec, m, rtol",
+        "spec, m, rtol, points",
         [
-            (make_power_law_normalized(gamma=0.75, r=2.0), 20, 1e-12),  # K = 453
-            (GammaSumSpec(r=1.0, weights=PowerLawWeights(3.5, 1.0)), 6, 1e-10),  # K = 12288
+            (make_power_law_normalized(gamma=0.75, r=2.0), 20, 1e-12, 201),  # K = 480
+            (GammaSumSpec(r=1.0, weights=PowerLawWeights(3.5, 1.0)), 6, 1e-10, 201),  # K = 12288
+            # K = 196608, past the former budget of 100,000 terms
+            (GammaSumSpec(r=1.0, weights=PowerLawWeights(3.5, 1.0)), 12, 1e-10, 30),
         ],
     )
-    def test_cdf_matches_per_term_incomplete_gamma_sum(self, spec, m, rtol):
+    def test_cdf_matches_per_term_incomplete_gamma_sum(self, spec, m, rtol, points):
         # the table's CDF takes one incomplete gamma call per point and the
-        # gamma densities; the second route sums p_k P(R + k, y) term by
-        # term, on the bulk grid plus points from 0.5 down to 1e-6 times
-        # sum lambda right of the support's left end, where the CDF falls
-        # as low as about 1e-210
+        # gamma densities of a window of terms; the second route sums
+        # p_k P(R + k, y) over every term, on the bulk grid plus points from
+        # 0.5 down to 1e-6 times sum lambda right of the support's left end,
+        # where the CDF falls as low as about 1e-210
         hcf = make_head_cf(spec, m)
         lam = np.asarray(hcf.lam)
         grid = np.union1d(
-            default_grid(spec, m, 201), lam.sum() * (np.geomspace(1e-6, 0.5, 200) - 1.0)
+            default_grid(spec, m, points),
+            lam.sum() * (np.geomspace(1e-6, 0.5, points - 1) - 1.0),
         )
         table = invert_to_table(hcf, grid)
         theta = lam / spec.r
@@ -359,8 +363,32 @@ class TestMixtureOracles:
             [p @ special.gammainc(shape, part) for part in np.array_split(y[pos], 8)]
         )
         keep = ref > 1e-300
-        assert keep.sum() > 300
+        assert keep.sum() >= 0.75 * grid.size
         assert np.max(np.abs(table.cdf[keep] / ref[keep] - 1.0)) <= rtol
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [2, 3, 8, 20])
+    def test_window_matches_full_sum(self, r, m):
+        # each block of points sums only a window of terms; the full sum
+        # over all K terms, in the same recurrence form, must agree
+        spec = make_power_law_normalized(gamma=0.75, r=r)
+        hcf = make_head_cf(spec, m)
+        grid = default_grid(spec, m)
+        table = invert_to_table(hcf, grid)
+        lam = np.asarray(hcf.lam)
+        theta = lam / r
+        p, _ = _mixture_weights(theta, r)
+        a = (r * lam.size + np.arange(p.size))[:, None]
+        y = (grid + lam.sum()) / theta.min()
+        pos = y > 0.0
+        dens = np.exp((a - 1.0) * np.log(y[pos]) - y[pos] - special.gammaln(a))
+        cdf = np.zeros(grid.size)
+        cdf[pos] = special.gammainc(a[-1], y[pos]) * p.sum() + np.cumsum(p)[:-1] @ dens[1:]
+        assert np.max(np.abs(table.cdf - cdf)) <= 1e-13
+        if table.pdf is not None:
+            pdf = np.zeros(grid.size)
+            pdf[pos] = p @ dens / theta.min()
+            assert np.max(np.abs(table.pdf - pdf)) <= 1e-15
 
     def test_term_budget_fails_early(self):
         # c = 1 - 1e-9 needs about 4.2e10 terms
@@ -379,6 +407,19 @@ class TestFormerlyFailingHeads:
         assert table.pdf is not None
         n = 100_000
         batch = sample_head(spec, m, n, seed=2024)
+        d = ks_distance(batch, lambda x: np.interp(x, grid, table.cdf))
+        assert d < 1.95 / math.sqrt(n)
+
+    def test_ks_past_former_term_budget(self):
+        # gamma = 3.5, r = 1, M = 12 needs K = 196608 terms, which the
+        # former 100,000-term budget refused
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(3.5, 1.0))
+        m = 12
+        grid = default_grid(spec, m)
+        table = invert_to_table(make_head_cf(spec, m), grid)
+        assert table.diagnostics["series_terms"] > 100_000
+        n = 100_000
+        batch = sample_head(spec, m, n, seed=2025)
         d = ks_distance(batch, lambda x: np.interp(x, grid, table.cdf))
         assert d < 1.95 / math.sqrt(n)
 
