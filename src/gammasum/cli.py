@@ -31,7 +31,7 @@ from .errors import DomainError, NumericalError, SpecFormatError
 from .finite_sum import DistributionTable, _check_grid, invert_to_table, make_head_cf
 from .mc_oracle import _MODES, SampleBatch, ks_distance, sample_z
 from .pipeline import PipelineConfig, _expansion_for, m_robustness, z_cdf
-from .weights import make_power_law_normalized, spec_from_dict, spec_to_dict
+from .weights import _check_int, make_power_law_normalized, spec_from_dict, spec_to_dict
 
 _REFERENCE_C = 0.4375
 _REFERENCE_C_TOL = 5e-5
@@ -47,6 +47,8 @@ def _load_spec(path):
 
 
 def _parse_grid(text):
+    """The grid "lo:hi:n" as n evenly spaced points from lo to hi; the point
+    count and the points themselves go through the library's input rules."""
     parts = str(text).split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be lo:hi:n, got {text!r}")
@@ -54,11 +56,9 @@ def _parse_grid(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"grid must be lo:hi:n with numeric parts: {exc}") from exc
-    if not (lo < hi and np.isfinite(hi - lo)):
-        raise DomainError(f"grid needs lo < hi with a finite span hi - lo, got {text!r}")
-    if n < 2:
-        raise DomainError(f"grid needs at least 2 points, got {n}")
-    return _check_grid(np.linspace(lo, hi, n))
+    if not math.isfinite(hi - lo):
+        raise DomainError(f"grid needs a finite span hi - lo, got {text!r}")
+    return _check_grid(np.linspace(lo, hi, _check_int(n, "grid points", 2)))
 
 
 def _json_text(doc):
@@ -129,11 +129,23 @@ def _read_table_csv(path):
         raise DomainError(f"bad table file {path}: {exc}") from exc
 
 
-def _load_samples(path):
+def _manifest(args, argv, **resolved):
+    """(command, argv, config) of a sibling manifest.  The config is the
+    resolved spec, then the command's flags but --out in parser order, then
+    the values the command resolved itself."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "spec", "out", "func")}
+    return args.command, argv, {"spec": spec_to_dict(args.spec), **flags, **resolved}
+
+
+def _ks_vs_samples(tab, path):
+    """(KS distance, its 95 % band, sample count) of the samples in the file
+    ``path`` against the table's linearly interpolated CDF.  The band is the
+    asymptotic 95 % quantile of the distance for samples drawn from that CDF
+    itself."""
     values = np.fromfile(path, dtype="<f8")
     if values.size * 8 != os.path.getsize(path) or not np.all(np.isfinite(values)):
         raise DomainError(f"sample file {path} must hold finite little-endian float64s")
-    return SampleBatch(
+    batch = SampleBatch(
         values=values,
         seed=0,
         n_terms=0,
@@ -141,47 +153,36 @@ def _load_samples(path):
         mode="external",
         neglected_sd=0.0,
     )
-
-
-def _ks_band_95(n):
-    """Asymptotic 95 % quantile of the KS distance for ``n`` samples drawn from
-    the reference CDF itself."""
-    return 1.36 / math.sqrt(n)
+    ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
+    return ks, 1.36 / math.sqrt(values.size), values.size
 
 
 def _cmd_cumulants(args, argv):
-    spec = _load_spec(args.spec)
-    tc = cumulants(spec, args.M, args.K)
+    tc = cumulants(args.spec, args.M, args.K)
     doc = {
-        "sigma_M": sigma_M(spec, args.M),
+        "sigma_M": sigma_M(args.spec, args.M),
         "kappa": [tc.kappa_k(k) for k in range(2, args.K + 1)],
-        "be_bound": berry_esseen_bound(spec, args.M),
-        "be_ratio": be_condition_ratio(spec, args.M),
+        "be_bound": berry_esseen_bound(args.spec, args.M),
+        "be_ratio": be_condition_ratio(args.spec, args.M),
     }
-    config = {"spec": spec_to_dict(spec), "M": args.M, "K": args.K}
-    _emit(args.out, doc, "cumulants", argv, config)
+    _emit(args.out, doc, *_manifest(args, argv))
 
 
 def _cmd_edgeworth(args, argv):
-    spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
-    ex = _expansion_for(spec, args.M, args.N)
+    ex = _expansion_for(args.spec, args.M, args.N)
     cols = [("x", grid), ("cdf", edgeworth_cdf(ex, grid)), ("pdf", edgeworth_pdf(ex, grid))]
-    config = {"spec": spec_to_dict(spec), "M": args.M, "N": args.N, "grid": args.grid}
-    _emit(args.out, cols, "edgeworth", argv, config)
+    _emit(args.out, cols, *_manifest(args, argv))
 
 
 def _cmd_head(args, argv):
-    spec = _load_spec(args.spec)
     grid = _parse_grid(args.grid)
-    tab = invert_to_table(make_head_cf(spec, args.M), grid)
-    config = {"spec": spec_to_dict(spec), "M": args.M, "grid": args.grid}
-    _emit(args.out, _table_columns(tab), "head", argv, config, tab.warnings)
+    tab = invert_to_table(make_head_cf(args.spec, args.M), grid)
+    _emit(args.out, _table_columns(tab), *_manifest(args, argv), tab.warnings)
 
 
 def _cmd_zdist(args, argv):
-    spec = _load_spec(args.spec)
-    cfg = PipelineConfig(spec=spec, M=args.M, N=args.N, grid=_parse_grid(args.grid))
+    cfg = PipelineConfig(spec=args.spec, M=args.M, N=args.N, grid=_parse_grid(args.grid))
     robustness, tables = None, {}
     if args.robustness:
         try:
@@ -191,53 +192,28 @@ def _cmd_zdist(args, argv):
         robustness, tables = m_robustness(cfg, ms)
     tab = tables.get(args.M) or z_cdf(cfg)
 
-    ks = band = None
-    if args.mc:
-        batch = _load_samples(args.mc)
-        ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
-        band = _ks_band_95(batch.n_samples)
-
+    ks, band, _ = _ks_vs_samples(tab, args.mc) if args.mc else (None, None, None)
     summary = {
         "ks_vs_mc": ks,
         "ks_band_95": band,
         "robustness": robustness,
         "warnings": list(tab.warnings),
     }
-    config = {
-        "spec": spec_to_dict(spec),
-        "M": args.M,
-        "N": args.N,
-        "grid": args.grid,
-        "robustness": args.robustness,
-        "mc": args.mc,
-    }
-    _emit(args.out, _table_columns(tab), "zdist", argv, config, tab.warnings)
+    _emit(args.out, _table_columns(tab), *_manifest(args, argv), tab.warnings)
     base = args.out[:-4] if args.out.endswith(".csv") else args.out
     _emit(f"{base}.summary.json", summary)
 
 
 def _cmd_mc(args, argv):
-    spec = _load_spec(args.spec)
-    batch = sample_z(spec, args.mode, args.n, args.seed)
+    batch = sample_z(args.spec, args.mode, args.n, args.seed)
     batch.values.astype("<f8").tofile(args.out)
-    config = {
-        "spec": spec_to_dict(spec),
-        "mode": args.mode,
-        "n": args.n,
-        "seed": args.seed,
-        "n_terms": batch.n_terms,
-        "neglected_sd": batch.neglected_sd,
-        "rng_algorithm": batch.rng_algorithm,
-    }
-    _write_manifest(args.out, "mc", argv, config)
+    resolved = {k: getattr(batch, k) for k in ("n_terms", "neglected_sd", "rng_algorithm")}
+    _write_manifest(args.out, *_manifest(args, argv, **resolved))
 
 
 def _cmd_validate(args, argv):
-    tab = _read_table_csv(args.table)
-    batch = _load_samples(args.samples)
-    ks = ks_distance(batch, lambda v: np.interp(v, tab.grid, tab.cdf))
-    n = batch.n_samples
-    _emit(None, {"ks": ks, "ks_band_95": _ks_band_95(n), "n_samples": n})
+    ks, band, n = _ks_vs_samples(_read_table_csv(args.table), args.samples)
+    _emit(None, {"ks": ks, "ks_band_95": band, "n_samples": n})
 
 
 def _cmd_repro(args, argv):
@@ -355,6 +331,8 @@ def dispatch(argv):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "spec" in args:  # the spec file loads before the command's own checks
+            args.spec = _load_spec(args.spec)
         args.func(args, list(argv))
     except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -141,6 +141,15 @@ def build_expansion(tc, n_order):
     return EdgeworthExpansion(N=int(n_order), terms=tuple(terms), cumulants=tc)
 
 
+def _phi_hermeval(x, coef):
+    """phi(x) times the Hermite series ``coef``, at x clipped to +-40.  A
+    coefficient that overflows the series gives a non-finite value, not a
+    RuntimeWarning; finiteness checks downstream report it as a failure."""
+    xc = np.clip(x, -_X_CLIP, _X_CLIP)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(-0.5 * xc * xc) / _SQRT2PI * hermeval(xc, coef)
+
+
 def edgeworth_cdf(expansion, x):
     """CDF of the expansion: Phi(x) minus the Hermite correction.
 
@@ -148,18 +157,14 @@ def edgeworth_cdf(expansion, x):
     the tails and callers decide how to treat that.
     """
     xa = np.asarray(x, dtype=float)
-    xc = np.clip(xa, -_X_CLIP, _X_CLIP)
-    phi = np.exp(-0.5 * xc * xc) / _SQRT2PI
-    out = 0.5 * special.erfc(-xa / _SQRT2) - phi * hermeval(xc, expansion.coef)
+    out = 0.5 * special.erfc(-xa / _SQRT2) - _phi_hermeval(xa, expansion.coef)
     return float(out) if xa.ndim == 0 else out
 
 
 def edgeworth_pdf(expansion, x):
     """Density of the expansion, the term-by-term derivative of the CDF."""
     xa = np.asarray(x, dtype=float)
-    xc = np.clip(xa, -_X_CLIP, _X_CLIP)
-    phi = np.exp(-0.5 * xc * xc) / _SQRT2PI
-    out = phi * hermeval(xc, np.concatenate(([1.0], expansion.coef)))
+    out = _phi_hermeval(xa, np.concatenate(([1.0], expansion.coef)))
     return float(out) if xa.ndim == 0 else out
 
 

@@ -32,8 +32,10 @@ convolution to the bare head table.
 
 The expansion density integrates as-is where it dips negative; when the
 negative part exceeds 1e-3 in mass a quality warning is attached and the
-monotone-repair tolerance widens in proportion, since dips of that size
-are properties of the expansion, not quadrature failures.  Every table is
+monotone-repair tolerance widens to twice that mass, since dips of that
+size are properties of the expansion, not quadrature failures.  A mass of
+1/2 or more (or a NaN) is a numerical failure, raised before any head
+table is built: a repair that wide could absorb any CDF.  Every table is
 finished by the same repair and density gate as a head table, and carries
 the diagnostics tail_mass, negative_tail_mass and monotone_violation, plus
 head_series_tail_mass when M >= 2.
@@ -56,7 +58,7 @@ from .edgeworth import (
     edgeworth_pdf,
     negative_pdf_mass,
 )
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .finite_sum import _REPAIR_TOL, _check_grid, _finish_table, invert_to_table, make_head_cf
 from .weights import GammaSumSpec, _check_int, _check_m
 
@@ -162,6 +164,13 @@ def z_cdf(cfg):
         return replace(head, diagnostics=diagnostics)
 
     ex = _expansion_for(cfg.spec, cfg.M, cfg.N)
+    neg_mass = negative_pdf_mass(ex)
+    tol = max(_REPAIR_TOL, 2.0 * neg_mass)
+    if not tol < 1.0:  # NaN included
+        raise NumericalError(
+            f"tail expansion carries negative density mass {neg_mass!r}, "
+            "too much for the monotone repair"
+        )
     if cfg.M == 1:
         t = cfg.grid / sig
         cdf, pdf = edgeworth_cdf(ex, t), edgeworth_pdf(ex, t) / sig
@@ -170,13 +179,11 @@ def z_cdf(cfg):
         head, tail_mass, cdf, pdf = _convolve(cfg, ex, sig, sd)
         warnings = head.warnings
         head_part = {"head_series_tail_mass": head.diagnostics["series_tail_mass"]}
-    neg_mass = negative_pdf_mass(ex)
     if neg_mass > _NEG_MASS_WARN:
         warnings += (f"tail expansion carries negative density mass {neg_mass:.2e}",)
     if abs(tail_mass - 1.0) > _MASS_DEV_WARN:
         warnings += (f"tail density mass deviates from 1 by {tail_mass - 1.0:.2e}",)
     diagnostics = {"tail_mass": tail_mass, "negative_tail_mass": neg_mass, **head_part}
-    tol = max(_REPAIR_TOL, 2.0 * neg_mass)
     return _finish_table(cfg.grid, cdf, pdf, warnings, diagnostics, tol=tol)
 
 

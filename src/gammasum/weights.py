@@ -156,6 +156,12 @@ WeightSequence = Union[PowerLawWeights, ExplicitWeights]
 _NORMALIZATION_RTOL = 1e-12
 
 
+def _is_normalized(weights: WeightSequence, r: float) -> bool:
+    """Whether Var Z = (1/r) sum lambda_n^2 is 1 to within _NORMALIZATION_RTOL."""
+    c, s = weights.tail_power_sum(1, 2)
+    return abs(c * c * s / r - 1.0) <= _NORMALIZATION_RTOL
+
+
 @dataclass(frozen=True)
 class GammaSumSpec:
     """Shape parameter r plus a weight sequence; the full model of Z."""
@@ -166,13 +172,11 @@ class GammaSumSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "r", _check_real(self.r, "gamma shape r", 0.0))
-        if self.normalized:
-            c, s = self.weights.tail_power_sum(1, 2)
-            s2 = c * c * s
-            if abs(s2 / self.r - 1.0) > _NORMALIZATION_RTOL:
-                raise DomainError(
-                    f"normalized flag set but (1/r) sum lambda_n^2 = {s2 / self.r!r}"
-                )
+        if self.normalized and not _is_normalized(self.weights, self.r):
+            raise DomainError(
+                "normalized flag set but (1/r) sum lambda_n^2 is not 1 "
+                f"to within {_NORMALIZATION_RTOL:g}"
+            )
 
 
 def make_power_law_normalized(gamma: float, r: float) -> GammaSumSpec:
@@ -255,8 +259,7 @@ def spec_from_dict(d: dict) -> GammaSumSpec:
         raise SpecFormatError(f"unknown weights kind {kind!r}")
     spec = GammaSumSpec(r=_require_number(d["r"], "'r'"), weights=weights)
     if "normalized" not in d:
-        c, s = weights.tail_power_sum(1, 2)
-        return replace(spec, normalized=abs(c * c * s / spec.r - 1.0) <= _NORMALIZATION_RTOL)
+        return replace(spec, normalized=_is_normalized(weights, spec.r))
     if not isinstance(d["normalized"], bool):
         raise SpecFormatError("field 'normalized' must be a boolean")
     return replace(spec, normalized=d["normalized"])

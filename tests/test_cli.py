@@ -28,8 +28,8 @@ from gammasum.edgeworth import build_expansion, edgeworth_cdf
 from gammasum.cumulants import cumulants as tail_cumulants
 from gammasum.errors import DomainError, SpecFormatError
 from gammasum.finite_sum import invert_to_table, make_head_cf
-from gammasum.mc_oracle import _MODES
-from gammasum.weights import make_power_law_normalized
+from gammasum.mc_oracle import _MODES, sample_z
+from gammasum.weights import make_power_law_normalized, spec_to_dict
 
 SPEC = make_power_law_normalized(0.75, 0.5)
 
@@ -592,6 +592,39 @@ class TestReproduction:
         assert np.all(np.diff(data[:, 1]) >= 0.0)
 
 
+# (command, its flags other than --spec and --out as parsed, in parser order)
+_MANIFEST_RUNS = [
+    ("cumulants", {"M": 3, "K": 5}),
+    ("edgeworth", {"M": 3, "N": 4, "grid": "-4:4:9"}),
+    ("head", {"M": 3, "grid": "-1:6:21"}),
+    ("zdist", {"M": 2, "N": 3, "grid": "-8:8:41", "robustness": "2,3", "mc": "{tmp}/s.bin"}),
+    ("mc", {"mode": "truncate", "n": 100, "seed": 5}),
+]
+
+
+class TestManifestConfig:
+    @pytest.mark.parametrize("command, flags", _MANIFEST_RUNS, ids=[c for c, _ in _MANIFEST_RUNS])
+    def test_config_is_spec_then_flags(self, command, flags, spec_path, tmp_path, capsys):
+        # the resolved spec, every flag but --out, then what mc resolves itself
+        flags = {k: v.replace("{tmp}", str(tmp_path)) if isinstance(v, str) else v
+                 for k, v in flags.items()}
+        np.linspace(-2.0, 2.0, 50).astype("<f8").tofile(str(tmp_path / "s.bin"))
+        out = str(tmp_path / "out")
+        argv = [command, "--spec", spec_path, *(f"--{k}={v}" for k, v in flags.items()),
+                "--out", out]
+        assert dispatch(argv) == 0
+        capsys.readouterr()
+        expected = {"spec": spec_to_dict(SPEC), **flags}
+        if command == "mc":
+            batch = sample_z(SPEC, flags["mode"], flags["n"], flags["seed"])
+            expected.update(n_terms=batch.n_terms, neglected_sd=batch.neglected_sd,
+                            rng_algorithm=batch.rng_algorithm)
+        with open(f"{out}.manifest.json") as fh:
+            man = json.load(fh)
+        assert man["command"] == command and man["argv"] == argv
+        assert list(man["config"].items()) == list(expected.items())
+
+
 class TestThreadCapEnv:
     def test_module_entry_point(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -818,6 +851,10 @@ class TestFuzz:
         n=st.integers(1, 21),
         grid=_GRIDS,
     )
+    @example(  # kappa_3^2 = 4e300 and kappa_4 = 6e300 overflow the Hermite sum at x = 40
+        doc={"r": 1e-300, "weights": {"kind": "explicit", "values": [1.0]}},
+        m=1, n=4, grid="--grid=-1.0:1e+308:2",
+    )
     @settings(max_examples=200, deadline=None)
     def test_edgeworth_exit_codes(self, doc, m, n, grid):
         rc, out, err = _run_fuzzed(doc, ["edgeworth", "--M", str(m), "--N", str(n), grid])
@@ -865,6 +902,11 @@ class TestFuzz:
         _check_exit_contract(rc, err)
 
     @given(run=valid_zdist_runs())
+    # order-8 expansions whose negative density mass is in the thousands
+    @example(run=({"r": 0.0546875, "weights": {"kind": "power_law", "gamma": 2.0, "scale": 1.0}},
+                  1, 8, "--grid=-37.81406628937477:219.42857142857142:9"))
+    @example(run=({"r": 0.0625, "weights": {"kind": "power_law", "gamma": 3.0, "scale": 1.0}},
+                  1, 8, "--grid=-34.293564697389264:192.0:9"))
     @settings(max_examples=60, deadline=None)
     def test_zdist_valid_specs_finish(self, run):
         # valid input ends in a table (exit 0) or a numerical failure
