@@ -120,8 +120,7 @@ def _read_table_csv(path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        finite = np.all(np.isfinite(data))
-        if header[:2] != ["x", "cdf"] or data.shape[1] != len(header) or not finite:
+        if header[:2] != ["x", "cdf"] or data.shape[1] != len(header):
             raise DomainError("need finite x,cdf[,pdf] columns under a matching header")
         pdf = data[:, header.index("pdf")] if "pdf" in header else None
         return DistributionTable(grid=data[:, 0], cdf=data[:, 1], pdf=pdf)

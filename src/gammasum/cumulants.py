@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateTailError, DomainError, NumericalError
+from .errors import DegenerateTailError, NumericalError
 from .weights import GammaSumSpec, _check_int, _check_m, tail_power_sum, tail_weight_sum
 
 __all__ = [
@@ -99,9 +99,9 @@ def _scaled_power_sum(spec: GammaSumSpec, m: int, k: int) -> float:
 def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
     """kappa_{k,M} for k = 2..K via exact, scale-free tail power sums.
 
-    K is capped at MAX_CUMULANT_ORDER; kappa_{2,M} = 1 holds by construction
-    and is asserted to 1e-10 as an internal consistency check.  A cumulant
-    out of the float range raises NumericalError.
+    K is capped at MAX_CUMULANT_ORDER; kappa_{2,M} = 1! (s_2 / s_2^1.0) r^0.0
+    is exactly 1 for every finite non-zero s_2.  A cumulant out of the float
+    range raises NumericalError.
     """
     m = _check_m(m)
     K = _check_int(K, "cumulant order K", 3, MAX_CUMULANT_ORDER)
@@ -121,10 +121,6 @@ def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
         if not kk < math.inf:
             raise NumericalError(f"kappa_{k} overflows at M = {m}")
         kappa.append(kk)
-    if abs(kappa[0] - 1.0) > 1e-10:
-        raise DomainError(
-            f"internal consistency failure: kappa_2 = {kappa[0]!r}, expected 1"
-        )
     return TailCumulants(M=m, sigma_M=sig, kappa=tuple(kappa))
 
 

@@ -90,24 +90,17 @@ def enumerate_eta(n_order):
     Returns a list of :class:`IndexVector` sorted by the tuple ``k``.
     """
     n_order = _check_int(n_order, "expansion order", 2, MAX_EXPANSION_ORDER)
-    budget = n_order - 2
-    tuples = []
 
-    def extend(prefix, used):
-        m = 3 + len(prefix)
+    def walk(m, budget):
+        # (k_m, ..., k_N) of weight at most budget, k_m ascending: lexicographic
         if m > n_order:
-            if used >= 1:
-                tuples.append(tuple(prefix))
+            yield ()
             return
-        # k_m beyond (budget - used) // (m - 2) would overshoot the weight cap
-        for km in range((budget - used) // (m - 2) + 1):
-            prefix.append(km)
-            extend(prefix, used + (m - 2) * km)
-            prefix.pop()
+        for km in range(budget // (m - 2) + 1):
+            for rest in walk(m + 1, budget - (m - 2) * km):
+                yield (km, *rest)
 
-    extend([], 0)
-    tuples.sort()
-    return [IndexVector(N=n_order, k=k) for k in tuples]
+    return [IndexVector(N=n_order, k=k) for k in walk(3, n_order - 2) if any(k)]
 
 
 def hermite(k, x):

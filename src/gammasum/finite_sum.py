@@ -125,6 +125,14 @@ def _check_grid(grid, min_points=2):
     return grid
 
 
+def _mass_outside_window(grid, pdf):
+    """The trapezoid mass of ``pdf`` on ``grid`` if outside [0.998, 1.002],
+    else None; past the float range it reads inf, without a RuntimeWarning."""
+    with np.errstate(over="ignore"):
+        mass = float(np.trapezoid(pdf, grid))
+    return None if 0.998 <= mass <= 1.002 else mass
+
+
 @dataclass(frozen=True)
 class DistributionTable:
     """Tabulated CDF (and optional PDF) on a strictly increasing grid."""
@@ -155,8 +163,8 @@ class DistributionTable:
             object.__setattr__(self, "pdf", pdf)
             if pdf.shape != grid.shape or not np.all((pdf >= 0.0) & (pdf < math.inf)):
                 raise NumericalError("pdf must be finite and non-negative on the grid")
-            mass = float(np.trapezoid(pdf, grid))
-            if not 0.998 <= mass <= 1.002:
+            mass = _mass_outside_window(grid, pdf)
+            if mass is not None:
                 raise NumericalError(f"pdf mass {mass:.6f} outside [0.998, 1.002]")
 
 
@@ -234,9 +242,8 @@ def _finish_table(grid, cdf, pdf, warnings, diagnostics, tol=_REPAIR_TOL):
     cdf = np.minimum(np.maximum.accumulate(np.maximum(cdf, 0.0)), 1.0)
     if pdf is not None:
         pdf = np.maximum(pdf, 0.0)
-        with np.errstate(over="ignore"):
-            mass = float(np.trapezoid(pdf, grid))
-        if not 0.998 <= mass <= 1.002:
+        mass = _mass_outside_window(grid, pdf)
+        if mass is not None:
             pdf = None
             warnings += (
                 f"density omitted: its grid mass after clipping at zero is {mass:.4f}",

@@ -15,7 +15,9 @@ the result by ~1e-9).
 The head CDF enters through a monotone cubic interpolant of a dense
 head table, so each output point costs one weighted dot product.  That
 table spans the output grid widened by the tail window, so every node
-difference x - y lands inside it and no value is extrapolated.  The
+difference x - y lands inside it and no value is extrapolated; its step is
+at most min(finest grid step, sigma_1 / 250), with at most 8001 nodes (and at
+least 4001, as the grid spans 16 sigma_1).  The
 interpolants and their evaluation points are taken in units of
 sigma_1 = sd(Z), so PCHIP never sees a node spacing that scales with the
 weights: a table on the grid c x for weights c lambda_n is the table on x,
@@ -116,7 +118,7 @@ def _head_table(cfg, sig, sd):
     lo = cfg.grid[0] - _TAIL_HALF_WIDTH * sig
     hi = cfg.grid[-1] + _TAIL_HALF_WIDTH * sig
     h_target = min(float(np.min(np.diff(cfg.grid))), sd / 250.0)
-    n = int(np.clip(math.ceil((hi - lo) / h_target) + 1, 801, 8001))
+    n = min(math.ceil((hi - lo) / h_target) + 1, 8001)
     return invert_to_table(make_head_cf(cfg.spec, cfg.M), np.linspace(lo, hi, n))
 
 

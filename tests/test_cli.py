@@ -200,6 +200,14 @@ class TestCumulantsCommand:
         assert man["config"]["spec"]["weights"]["kind"] == "power_law"
         assert "created_utc" in man
 
+    def test_non_finite_json_result_exit_3(self, spec_path, monkeypatch, capsys):
+        # strict JSON has no NaN: a non-finite result is a numerical failure
+        monkeypatch.setattr("gammasum.cli.sigma_M", lambda spec, m: math.nan)
+        rc = dispatch(["cumulants", "--spec", spec_path, "--M", "3", "--K", "4"])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure: non-finite")
+
 
 class TestEdgeworthCommand:
     def test_csv_matches_library(self, spec_path, tmp_path, capsys):
@@ -527,6 +535,40 @@ class TestMcAndValidate:
         assert rc == 2
         assert out == "" and err.startswith("error:")
 
+    def test_validate_rejects_bad_header_and_non_finite_cells(self, tmp_path, capsys):
+        # a header other than x,cdf[,pdf] is caught while reading; a NaN cell
+        # is caught by the table's own grid, cdf and pdf checks
+        x = np.linspace(-8.0, 8.0, 101)
+        pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+        samples = tmp_path / "s.bin"
+        np.zeros(10).astype("<f8").tofile(str(samples))
+        for header, col in [("x,F", 1), ("x,cdf,pdf", 0), ("x,cdf,pdf", 1), ("x,cdf,pdf", 2)]:
+            data = np.column_stack([x, ndtr(x), pdf])
+            data[50, col] = np.nan
+            table = tmp_path / "t.csv"
+            np.savetxt(str(table), data[:, : len(header.split(","))], delimiter=",",
+                       fmt="%.17g", header=header, comments="")
+            rc = dispatch(["validate", "--table", str(table), "--samples", str(samples)])
+            out, err = capsys.readouterr()
+            assert rc == 2 and out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
+    def test_validate_overflowing_pdf_mass_prints_one_line(self):
+        # a pdf column of 1e308 overflows its trapezoid mass: the table is
+        # rejected with one error line and no RuntimeWarning before it
+        x = np.linspace(-8.0, 8.0, 101)
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([x, ndtr(x), np.full(x.size, 1e308)]),
+                   delimiter=",", fmt="%.17g", header="x,cdf,pdf", comments="")
+        files = [("t.csv", buf.getvalue().encode()), ("s.bin", np.zeros(10).tobytes())]
+        args = ["validate", "--table", "{tmp}/t.csv", "--samples", "{tmp}/s.bin"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run_fuzzed({}, args, files=files)
+        assert rc == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: bad table file")
+        assert err.endswith(": pdf mass inf outside [0.998, 1.002]\n")
+
     def test_validate_rejects_non_finite_samples(self, tmp_path, capsys):
         table, samples = tmp_path / "z.csv", tmp_path / "s.bin"
         write_normal_table(str(table))
@@ -554,6 +596,16 @@ class TestZdistCommand:
         assert summary["ks_band_95"] is None
         assert 0.0 < summary["robustness"] < 0.01
         assert isinstance(summary["warnings"], list)
+
+    def test_non_integer_robustness_level_exit_2(self, spec_path, tmp_path, capsys):
+        rc = dispatch(
+            ["zdist", "--spec", spec_path, "--M", "10", "--N", "3",
+             "--grid=-8:8:201", "--out", str(tmp_path / "z.csv"), "--robustness", "5,x"]
+        )
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --robustness must be comma-separated integers")
+        assert list(tmp_path.iterdir()) == [tmp_path / "spec.json"]
 
     def test_mc_comparison_in_summary(self, spec_path, tmp_path, capsys):
         samples = tmp_path / "s.bin"
@@ -590,6 +642,17 @@ class TestReproduction:
         assert spec_obj["r"] == 0.5
         _, data = read_csv(str(tmp_path / "z_M10.csv"))
         assert np.all(np.diff(data[:, 1]) >= 0.0)
+
+    def test_missed_normalization_constant_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the computed C = 0.43750... is checked against the reference before
+        # anything is written
+        monkeypatch.setattr("gammasum.cli._REFERENCE_C", 0.44)
+        rc = dispatch(["repro-sec6", "--outdir", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert rc == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: normalization constant")
+        assert list(tmp_path.iterdir()) == []
 
 
 # (command, its flags other than --spec and --out as parsed, in parser order)

@@ -25,6 +25,7 @@ from gammasum.errors import DomainError, NumericalError
 from gammasum.finite_sum import (
     DistributionTable,
     HeadCF,
+    _finish_table,
     _mixture_weights,
     default_grid,
     invert_to_table,
@@ -297,6 +298,8 @@ class TestInversionManyTerms:
     def test_degenerate_head_rejected(self):
         with pytest.raises(DomainError):
             invert_to_table(make_head_cf(reference_spec(), 1), np.linspace(-1, 1, 11))
+        with pytest.raises(DomainError, match="empty head"):
+            default_grid(reference_spec(), 1)
 
 
 class TestMixtureOracles:
@@ -495,3 +498,18 @@ class TestDistributionTable:
         cdf[50] = cdf[49] - 1e-4
         with pytest.raises(Exception):
             DistributionTable(grid=grid, cdf=cdf)
+
+    def test_cdf_length_must_match_grid(self):
+        grid = np.linspace(-8, 8, 101)
+        with pytest.raises(DomainError, match="cdf length"):
+            DistributionTable(grid=grid, cdf=special.ndtr(grid)[:-1])
+
+    def test_finish_repairs_only_within_tolerance(self):
+        grid = np.linspace(-8, 8, 101)
+        cdf = special.ndtr(grid)
+        cdf[50] = cdf[49] - 2e-9
+        with pytest.raises(NumericalError, match="non-monotone by 2.000e-09"):
+            _finish_table(grid, cdf, None, (), {})
+        tab = _finish_table(grid, cdf, None, (), {}, tol=3e-9)
+        assert tab.diagnostics["monotone_violation"] == pytest.approx(2e-9, rel=1e-6)
+        assert np.all(np.diff(tab.cdf) >= 0.0)

@@ -194,6 +194,12 @@ class TestCumulantViaIntegral:
         with pytest.raises(DomainError):
             cumulant_via_integral(reference_spec(), 5, 1)
 
+    def test_inaccurate_quadrature_is_numerical(self, monkeypatch):
+        # quad reporting an error estimate above 1e-9 must not pass silently
+        monkeypatch.setattr("gammasum.levy.quad", lambda *a, **kw: (0.5, 1e-6))
+        with pytest.raises(NumericalError, match="quadrature reached only 2.000e-06"):
+            cumulant_via_integral(reference_spec(), 5, 2)
+
 
 class TestReLogCf:
     def test_zero_frequency(self):

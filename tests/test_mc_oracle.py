@@ -95,6 +95,15 @@ class TestSampler:
         assert 0.0 < batch.neglected_sd <= 1e-4
         assert np.all(np.isfinite(batch.values))
 
+    def test_default_term_rule_searches_steep_power_law(self):
+        # gamma = 2 at r = 1: the tail sd falls past 1e-4 between 321 and 322
+        # terms, inside the search range
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=2.0, scale=1.0))
+        batch = sample_z(spec, "normal_tail", 10, seed=0)
+        assert batch.n_terms == 322
+        assert batch.neglected_sd == mc_oracle._tail_sd(spec, 323) <= 1e-4
+        assert mc_oracle._tail_sd(spec, 322) > 1e-4
+
     def test_default_term_rule_met_when_feasible(self):
         values = tuple(2.0 ** -(n + 1) for n in range(30))
         spec = GammaSumSpec(r=1.0, weights=ExplicitWeights(values))
@@ -210,6 +219,9 @@ class TestKsDistance:
         d_scalar = ks_distance(batch, lambda x: float(norm.cdf(x)))
         d_vec = ks_distance(batch, norm.cdf)
         assert d_scalar == pytest.approx(d_vec, abs=1e-15)
+        # one written for a point that turns an array into one number
+        d_mean = ks_distance(batch, lambda x: float(np.mean(norm.cdf(x))))
+        assert d_mean == pytest.approx(d_vec, abs=1e-15)
 
     def test_shifted_cdf_detected(self):
         rng = np.random.default_rng(31)

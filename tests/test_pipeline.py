@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erfc
+from scipy.special import erf, erfc
 
 import gammasum.pipeline as pipeline_module
 from gammasum.cumulants import cumulants, sigma_M
@@ -206,6 +207,21 @@ class TestTableQuality:
         assert any("negative" in w for w in tab.warnings)
         clean = z_cdf(PipelineConfig(spec=SPEC, M=10, N=5, grid=default_z_grid(SPEC, 801)))
         assert not any("negative" in w for w in clean.warnings)
+
+    def test_tail_mass_warning_matches_closed_form(self):
+        # one tail weight at r = 5 and N = 18: the expansion density
+        # integrates over +/- 10 sd to 1 + 2.3e-6, past the 1e-6 gate, while
+        # its negative mass (0.13) stays repairable.  Each Hermite term
+        # phi H_{d+1} integrates over [-10, 10] to -phi(10) (H_d(10) - H_d(-10))
+        spec = GammaSumSpec(r=5.0, weights=ExplicitWeights((1.0, 1.0)))
+        tab = z_cdf(PipelineConfig(spec=spec, M=2, N=18, grid=default_z_grid(spec, 201)))
+        coef = build_expansion(cumulants(spec, 2, 18), 18).coef
+        phi10 = math.exp(-50.0) / math.sqrt(2.0 * math.pi)
+        want = erf(10.0 / math.sqrt(2.0)) - phi10 * (hermeval(10.0, coef) - hermeval(-10.0, coef))
+        mass = tab.diagnostics["tail_mass"]
+        assert mass == pytest.approx(want, abs=1e-9)
+        assert mass - 1.0 > 1e-6
+        assert f"tail density mass deviates from 1 by {mass - 1.0:.2e}" in tab.warnings
 
 
 class TestAgainstSampler:
