@@ -120,9 +120,9 @@ def _read_table_csv(path):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if header[:2] != ["x", "cdf"] or data.shape[1] != len(header):
+        if header not in (["x", "cdf"], ["x", "cdf", "pdf"]) or data.shape[1] != len(header):
             raise DomainError("need finite x,cdf[,pdf] columns under a matching header")
-        pdf = data[:, header.index("pdf")] if "pdf" in header else None
+        pdf = data[:, 2] if len(header) == 3 else None
         return DistributionTable(grid=data[:, 0], cdf=data[:, 1], pdf=pdf)
     except (ValueError, NumericalError) as exc:
         raise DomainError(f"bad table file {path}: {exc}") from exc

@@ -65,6 +65,7 @@ import numpy as np
 from scipy import fft, special
 
 from .errors import DomainError, NumericalError
+from .levy import log_cf
 from .weights import GammaSumSpec, _check_int, _check_m
 
 _REPAIR_TOL = 1e-9
@@ -89,20 +90,9 @@ class HeadCF:
     lam: tuple
 
     def cf(self, u):
-        """CF of the head at ``u`` (scalar or array); exactly 1 for M = 1.
-
-        Each factor uses the principal log of 1 - i u lambda / r, whose real
-        part is 1 > 0, so the per-factor argument stays in (-pi/2, pi/2) and
-        the product needs no winding correction.
-        """
-        ua = np.asarray(u, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        r = self.spec.r
-        log_cf = np.zeros(ua.shape, dtype=complex)
-        for l in lam:
-            log_cf -= r * np.log(1.0 - 1j * ua * (l / r))
-        out = np.exp(log_cf) * np.exp(-1j * ua * lam.sum())
-        return complex(out) if ua.ndim == 0 else out
+        """CF of the head at ``u`` (scalar or array): exp of
+        ``levy.log_cf(spec, 1, M, u)``, exactly 1 for M = 1."""
+        return np.exp(log_cf(self.spec, 1, self.M, u))
 
 
 def make_head_cf(spec, m):

@@ -1,33 +1,32 @@
-"""Levy density of the normalized tail sum and two analytic cross-checks.
+"""The one log-CF kernel, the tail's Levy density and two cross-checks.
 
-The tail past truncation M, rescaled to unit variance, is infinitely
-divisible with Levy density
+``log_cf(spec, lo, hi, u)`` is, at real u and with hi = None for no end,
 
-    nu_M(x) = (r/x) * sum_{n >= M} exp(-r x sigma_M / lambda_n),   x > 0.
+    log E exp(i u sum_{lo <= n < hi} lambda_n (eta_n - 1))
+        = sum_{lo <= n < hi} [-r log(1 - i u lambda_n / r) - i u lambda_n].
 
-Two independent identities give cheap consistency checks against the rest of
-the package: cumulants as moments of nu_M,
+The head CF is exp(log_cf(spec, 1, M, u)); the tail past M, scaled to unit
+variance, has log-CF log_cf(spec, M, None, u / sigma_M) with real part
+-A_M(u), A_M(u) = (r/2) sum_{n >= M} log(1 + u^2 lambda_n^2 / (r sigma_M)^2).
+Since (r sigma_M)^2 = r c^2 s_2 (see ``weights.tail_power_sum``), A_M
+depends on b = u^2 / (r s_2) and lambda_n / c alone, not on the scale c.
 
-    kappa_{k,M} = integral_0^inf x^k nu_M(x) dx,
+That tail is infinitely divisible with Levy density
 
-and the real part of the log-characteristic function of the normalized tail,
+    nu_M(x) = (r/x) * sum_{n >= M} exp(-r x sigma_M / lambda_n),   x > 0,
 
-    -A_M(u),  A_M(u) = (r/2) sum_{n >= M} log(1 + u^2 lambda_n^2 / (r sigma_M)^2)
-            = integral_0^inf (1 - cos ux) nu_M(x) dx.
-
-With S_2(M) = c^2 s_2 (see ``weights.tail_power_sum``), (r sigma_M)^2 =
-r c^2 s_2, so A_M depends on the weights through b = u^2 / (r s_2) and
-lambda_n / c alone, never through the scale c.
-
-For power-law weights the n-series decay slowly at small x; sums are
-completed with an Euler-Maclaurin tail so every evaluation stays cheap while
-keeping the truncation error far below 1e-12 of the retained sum.
+which gives two independent checks: kappa_{k,M} = integral x^k nu_M(x) dx,
+and log_cf as the integral of (e^{iux} - 1 - iux) nu_M(x), so A_M(u) =
+integral_0^inf (1 - cos ux) nu_M(x) dx.  For power-law weights the n-series
+of nu_M is completed with an Euler-Maclaurin tail, keeping the truncation
+error far below 1e-12 of the retained sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy import special
@@ -41,15 +40,17 @@ from .weights import (
     _check_int,
     _check_m,
     _check_real,
-    _zeta_tail,
     tail_power_sum,
 )
 
 _REL_TOL = 1e-13
 _BLOCK = 4096
-# most explicit terms _log1p_power_tail sums before its series takes over;
-# more fail with NumericalError before anything that size is allocated
+# most explicit terms log_cf sums before its series takes over; more fail
+# with NumericalError before anything that size is allocated
 _MAX_DIRECT_TERMS = 1 << 20
+# last power j of log_cf's tail series: past the cut term j is at most
+# 2^(-(j-2)/2) of term 2, so the first omitted one is below 2^-49 of it
+_SERIES_TERMS = 100
 
 # Euler-Maclaurin completion is applied only where a*gamma*L^(gamma-1), the
 # log-derivative of the summand at the cut L, is below this; the neglected
@@ -119,38 +120,52 @@ def _exp_power_sum(a, gamma, start):
     return total
 
 
-def _log1p_power_tail(b, gamma, start):
-    """sum_{n >= start} log1p(b n^(-2 gamma)) with relative error ~1e-13.
+def log_cf(spec, lo, hi, u):
+    """log E exp(i u sum_{lo <= n < hi} lambda_n (eta_n - 1)) at real ``u``
+    (scalar or array); ``hi=None`` runs the sum to infinity.
 
-    Explicit terms up to a cut where b n^(-2 gamma) <= 1/2, then the Mercator
-    expansion of log1p summed termwise over n through tail zeta values; that
-    alternating series remainder is below its first omitted term.
+    Term n is -r log(1 - i w_n) - i r w_n with w_n = u lambda_n / r: real
+    part -(r/2) log1p(w_n^2), imaginary part r (atan w_n - w_n).  An
+    infinite power-law tail sums the terms below cut = max(lo, 64, edge),
+    where w_edge^2 = 1/2, then adds r sum_{j=2}^{100} (i t)^j zeta(j gamma,
+    cut) / j with t = u scale / r; more than _MAX_DIRECT_TERMS terms below
+    the cut raise NumericalError.  The real part is relatively accurate to
+    about 1e-13 where zeta(j gamma, cut) stays normal until (t cut^-gamma)^j
+    is negligible (at gamma = 3, M = 40 it underflows early: 3e-12).  An
+    explicit term's imaginary part is a difference, with absolute error
+    about 1e-16 r |w_n|, so it is relatively accurate only where |w_n| is
+    not small.
     """
-    if b == 0.0:
-        return 0.0
-    two_g = 2.0 * gamma
-    edge = (2.0 * b) ** (1.0 / two_g)
-    if not edge - start <= _MAX_DIRECT_TERMS:
-        raise NumericalError(
-            f"log1p power tail needs {edge - start:.3g} direct terms, over the "
-            f"budget of {_MAX_DIRECT_TERMS}"
-        )
-    cut = max(start, _EM_MIN_CUT, int(math.ceil(edge)))
-    idx = np.arange(start, cut, dtype=float)
-    total = float(np.log1p(b * idx ** (-two_g)).sum()) if cut > start else 0.0
-    term_scale = None
-    sign = 1.0
-    bj = 1.0
-    for j in range(1, 400):
-        bj *= b
-        term = sign * bj / j * _zeta_tail(two_g * j, cut)
-        total += term
-        if term_scale is None:
-            term_scale = abs(term)
-        if abs(term) < _REL_TOL * max(abs(total), term_scale):
-            break
-        sign = -sign
-    return total
+    w = spec.weights
+    r = spec.r
+    ua = np.asarray(u, dtype=float)
+    series = 0.0
+    if isinstance(w, PowerLawWeights):
+        t = ua * w.scale
+        if hi is None:
+            t_max = float(np.max(np.abs(t), initial=0.0)) / r
+            edge = (2.0 * t_max * t_max) ** (0.5 / w.gamma)
+            if not edge - lo <= _MAX_DIRECT_TERMS:
+                raise NumericalError(
+                    f"log-CF power tail needs {edge - lo:.3g} direct terms, over "
+                    f"the budget of {_MAX_DIRECT_TERMS}"
+                )
+            hi = max(lo, _EM_MIN_CUT, math.ceil(edge))
+            j = np.arange(_SERIES_TERMS, 1, -1)
+            # scipy's zeta reads NaN where it underflows at huge j gamma
+            coef = np.nan_to_num(special.zeta(j * w.gamma, hi)) / j
+            z = 1j * t / r
+            series = r * z * z * reduce(lambda y, c: y * z + c, coef.tolist(), 0.0)
+        x = np.arange(lo, hi, dtype=float) ** -w.gamma
+    else:
+        t = ua
+        x = np.asarray(w.values[lo - 1 : None if hi is None else hi - 1], dtype=float)
+    wn = t[..., None] * x / r
+    # log1p(a^2) / 2 = log a + log1p(a^-2) / 2 for a >= 1: a^2 may overflow
+    a = np.maximum(np.abs(wn), 1.0)
+    half_log = np.log(a) + 0.5 * np.log1p(np.minimum(np.abs(wn), 1.0 / a) ** 2)
+    out = r * (1j * (np.arctan(wn) - wn) - half_log).sum(axis=-1) + series
+    return complex(out) if ua.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -215,22 +230,13 @@ def cumulant_via_integral(spec, m, k):
 def re_log_cf(spec, m, u):
     """A_M(u) >= 0; the log-CF of the normalized tail has real part -A_M(u).
 
-    Closed log-sum form, truncated with error below 1e-12 of the total.  A
-    value or a direct-sum length out of range raises NumericalError.
+    -log_cf(spec, M, None, u / sigma_M).real, as accurate as that real
+    part.  A frequency whose A_M or u / sigma_M overflows, or that needs
+    too many direct terms, raises NumericalError.
     """
     u = _check_real(u, "frequency u", -math.inf)
-    sigma_M(spec, m)  # an empty tail has no normalized CF
-    if u == 0.0:
-        return 0.0
-    w = spec.weights
-    r = spec.r
-    c, s2 = tail_power_sum(spec, m, 2)
-    b = u * u / r / s2
-    if b == math.inf:
+    sig = sigma_M(spec, m)  # an empty tail has no normalized CF
+    s2 = tail_power_sum(spec, m, 2)[1]
+    if u * u / spec.r / s2 == math.inf or abs(u / sig) == math.inf:
         raise NumericalError(f"A_M(u) overflows at u = {u!r}")
-    if isinstance(w, PowerLawWeights):
-        total = _log1p_power_tail(b, w.gamma, m)
-    else:
-        lam = np.asarray(w.values[m - 1 :], dtype=float) / c
-        total = float(np.log1p(b * lam * lam).sum())
-    return 0.5 * r * total
+    return -log_cf(spec, m, None, u / sig).real

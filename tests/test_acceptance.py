@@ -28,7 +28,13 @@ from gammasum.edgeworth import (
     enumerate_eta,
 )
 from gammasum.finite_sum import invert_to_table, make_head_cf
-from gammasum.levy import cumulant_via_integral, levy_density, levy_tail_density, re_log_cf
+from gammasum.levy import (
+    cumulant_via_integral,
+    levy_density,
+    levy_tail_density,
+    log_cf,
+    re_log_cf,
+)
 from gammasum.mc_oracle import ks_distance, sample_tail, sample_z
 from gammasum.pipeline import PipelineConfig, default_z_grid, z_cdf
 from gammasum.weights import ExplicitWeights, GammaSumSpec, make_power_law_normalized
@@ -121,25 +127,38 @@ def test_criterion_03_cumulant_oracle_equivalence():
 
 def test_criterion_04_a_m_identity():
     density = levy_tail_density(SPEC, 5)
-    worst = 0.0
+    worst = worst_im = 0.0
     for u in (0.5, 1.0, 2.0, 5.0):
         direct = re_log_cf(SPEC, 5, u)
+        direct_im = log_cf(SPEC, 5, None, u / density.sigma_M).imag
 
         def integrand(x):
             return (1.0 - math.cos(u * x)) * levy_density(density, x)
 
+        def integrand_im(x):
+            return (math.sin(u * x) - u * x) * levy_density(density, x)
+
         # quad can hit its roundoff floor chasing 1e-10 on the middle panel;
         # the 1e-7 assert below is the accuracy requirement that matters
-        val = 0.0
+        val = val_im = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IntegrationWarning)
             for a, b in ((0.0, 1.0), (1.0, 10.0), (10.0, 200.0)):
                 part, _ = quad(integrand, a, b, limit=400, epsabs=1e-10, epsrel=1e-10)
                 val += part
+                part, _ = quad(integrand_im, a, b, limit=400, epsabs=1e-10, epsrel=1e-10)
+                val_im += part
         dev = abs(val - direct)
         worst = max(worst, dev)
         assert dev <= 1e-7, (u, direct, val)
-    _report(4, f"log-CF real part vs jump-measure integral, worst dev {worst:.2e}")
+        dev_im = abs(val_im - direct_im)
+        worst_im = max(worst_im, dev_im)
+        assert dev_im <= 1e-7, (u, direct_im, val_im)
+    _report(
+        4,
+        f"log-CF vs jump-measure integrals, worst dev {worst:.2e} (real), "
+        f"{worst_im:.2e} (imaginary)",
+    )
 
 
 def test_criterion_05_edgeworth_consistency():

@@ -553,6 +553,26 @@ class TestMcAndValidate:
             assert rc == 2 and out == ""
             assert len(err.splitlines()) == 1 and err.startswith("error:"), err
 
+    def test_validate_rejects_third_column_other_than_pdf(self, tmp_path, capsys):
+        # a third column is read only as pdf, so any other name is an error
+        # rather than a column silently ignored
+        x = np.linspace(-8.0, 8.0, 101)
+        samples = tmp_path / "s.bin"
+        np.zeros(10).astype("<f8").tofile(str(samples))
+        table = tmp_path / "t.csv"
+        for header, rc_want in [("x,cdf,junk", 2), ("x,cdf,pdf,", 2), ("x,cdf", 0)]:
+            data = np.column_stack([x, ndtr(x), np.full_like(x, -5.0)])
+            np.savetxt(str(table), data[:, : len(header.split(","))], delimiter=",",
+                       fmt="%.17g", header=header, comments="")
+            rc = dispatch(["validate", "--table", str(table), "--samples", str(samples)])
+            out, err = capsys.readouterr()
+            assert rc == rc_want, header
+            if rc_want == 2:
+                assert out == "" and err.splitlines() == [
+                    f"error: bad table file {table}: need finite x,cdf[,pdf] columns "
+                    "under a matching header"
+                ]
+
     def test_validate_overflowing_pdf_mass_prints_one_line(self):
         # a pdf column of 1e308 overflows its trapezoid mass: the table is
         # rejected with one error line and no RuntimeWarning before it

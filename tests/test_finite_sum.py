@@ -133,6 +133,14 @@ class TestHeadCF:
                 got = -r * cmath.log(1.0 - 1j * u * lam / r) - 1j * u * lam
                 assert got == pytest.approx(want, abs=1e-8)
 
+    def test_huge_frequency_is_finite(self):
+        # each |w_n|^2 = (u lambda_n / r)^2 overflows, so the real part is
+        # taken as -r log|w_n| and the modulus underflows to 0
+        hcf = make_head_cf(reference_spec(), 5)
+        assert hcf.cf(1e200) == 0.0
+        vals = hcf.cf(np.array([-1e200, 1.0, 1e200]))
+        assert np.all(np.isfinite(vals)) and vals[1] == hcf.cf(1.0)
+
     def test_conjugate_symmetry_and_modulus_bound(self):
         spec = reference_spec()
         u = np.linspace(-40, 40, 81)

@@ -1,6 +1,7 @@
-"""Levy tail density, cumulants via integration, and the A_M log-sum.
+"""Levy tail density, cumulants via integration, and the log-CF kernel.
 
-Oracles: chunked long direct sums for the n-series, adaptive quadrature of
+Oracles: chunked long direct sums for the n-series, 30-digit mpmath sums of
+the log-CF cut far from the kernel's own cut, adaptive quadrature of
 (1 - cos(ux)) against the density for the log-CF identity, hand-evaluable
 single-weight cases, and the closed-form cumulants (themselves verified
 against an mpmath oracle elsewhere) as the dual route.
@@ -8,6 +9,7 @@ against an mpmath oracle elsewhere) as the dual route.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,16 +20,18 @@ from gammasum.errors import DomainError, NumericalError
 from gammasum.levy import (
     LevyTailDensity,
     _exp_power_sum,
-    _log1p_power_tail,
     cumulant_via_integral,
     levy_density,
     levy_tail_density,
+    log_cf,
     re_log_cf,
 )
 from gammasum.weights import (
     ExplicitWeights,
     GammaSumSpec,
+    PowerLawWeights,
     make_power_law_normalized,
+    tail_power_sum,
 )
 
 
@@ -102,16 +106,117 @@ class TestExpPowerSum:
         assert v0 >= v1 >= 0.0
 
 
-class TestLog1pPowerTail:
+def mp_log_cf(spec, lo, hi, u):
+    """log_cf at one u with 30 digits: explicit terms up to a cut where
+    |w_n| <= 1/10 (at least 300, far from the kernel's cut), then the
+    series sum_j (i t)^j zeta(j gamma, cut) / j to 1e-32."""
+    w = spec.weights
+    with mpmath.workdps(30):
+        r = mpmath.mpf(spec.r)
+        u = mpmath.mpf(u)
+        if isinstance(w, PowerLawWeights):
+            t = u * mpmath.mpf(w.scale) / r
+            if hi is None:
+                cut = max(lo, 300, math.ceil(float(10 * abs(t)) ** (1.0 / w.gamma)))
+            else:
+                cut = hi
+            lam = [mpmath.mpf(w.scale) * mpmath.mpf(n) ** -w.gamma for n in range(lo, cut)]
+        else:
+            stop = len(w.values) + 1 if hi is None else hi
+            lam = [mpmath.mpf(v) for v in w.values[lo - 1 : stop - 1]]
+        total = mpmath.mpc(0)
+        for l in lam:
+            wn = u * l / r
+            total += -r * mpmath.log(1 - 1j * wn) - 1j * r * wn
+        if isinstance(w, PowerLawWeights) and hi is None:
+            for j in range(2, 200):
+                term = r * (1j * t) ** j * mpmath.zeta(j * w.gamma, cut) / j
+                total += term
+                if abs(term) < mpmath.mpf(10) ** -32 * abs(total):
+                    break
+        return complex(total)
+
+
+class TestLogCf:
     def test_against_long_direct_sum_fast_decay(self):
-        # 2*gamma = 2.5 decays fast enough for an honest brute comparison
+        # 2*gamma = 2.5 decays fast enough for an honest brute comparison;
+        # at r = 1 and scale 1, -2 Re log_cf is sum log1p(u^2 n^(-2 gamma))
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=1.25, scale=1.0))
         for b in (0.3, 4.0, 250.0):
-            got = _log1p_power_tail(b, 1.25, 1)
+            got = -2.0 * log_cf(spec, 1, None, math.sqrt(b)).real
             want = brute_log1p_sum(b, 1.25, 1, 4_000_000)
             assert got == pytest.approx(want, rel=1e-9)
 
-    def test_zero_b(self):
-        assert _log1p_power_tail(0.0, 0.75, 5) == 0.0
+    def test_zero_frequency(self):
+        lists = GammaSumSpec(r=0.5, weights=ExplicitWeights((1.0, 0.5, 0.25)))
+        for spec in (reference_spec(), lists):
+            for lo, hi in ((5, None), (1, 3), (1, None)):
+                assert log_cf(spec, lo, hi, 0.0) == 0.0
+        assert np.all(log_cf(reference_spec(), 5, None, np.zeros(3)) == 0.0)
+
+    @staticmethod
+    def assert_close(spec, lo, hi, u, *got):
+        # the imaginary part of each explicit term, r (atan w - w), may be
+        # off by about 1e-16 r |w| in absolute terms (see log_cf); those
+        # terms are n < max(lo, 64) for a power-law tail past its edge
+        want = mp_log_cf(spec, lo, hi, u)
+        w = spec.weights
+        if isinstance(w, PowerLawWeights):
+            stop = max(lo, 64) if hi is None else hi
+            lam = w.scale * np.arange(lo, stop, dtype=float) ** -w.gamma
+        else:
+            lam = np.asarray(w.values[lo - 1 : None if hi is None else hi - 1])
+        slack = 1e-15 * abs(u) * lam.sum()
+        for g in got:
+            assert g.real == pytest.approx(want.real, rel=1e-13)
+            assert g.imag == pytest.approx(want.imag, rel=1e-12, abs=slack)
+
+    # (gamma, r, M, u): series-only tails past the cut, long explicit runs,
+    # and tails starting above the cut (M = 200)
+    POWER_CASES = [
+        (0.6, 0.5, 5, (0.05, 2.0, 8.0)),
+        (0.75, 0.5, 1, (0.3, 5.0)),
+        (0.75, 2.0, 200, (1.0, 40.0)),
+        (1.5, 0.05, 3, (0.01, 1.0, 300.0)),
+        (1.5, 10.0, 200, (0.5, 2000.0)),
+    ]
+
+    @pytest.mark.parametrize("gamma,r,m,us", POWER_CASES)
+    def test_power_tail_against_mpmath(self, gamma, r, m, us):
+        spec = GammaSumSpec(r=r, weights=PowerLawWeights(gamma=gamma, scale=0.8))
+        got = log_cf(spec, m, None, np.array(us))
+        assert got.shape == (len(us),)
+        for g, u in zip(got, us):
+            self.assert_close(spec, m, None, u, g, log_cf(spec, m, None, u))
+
+    def test_power_head_against_mpmath(self):
+        spec = make_power_law_normalized(gamma=0.75, r=0.5)
+        us = np.array([-3.0, 0.2, 7.0])
+        for g, u in zip(log_cf(spec, 2, 9, us), us):
+            self.assert_close(spec, 2, 9, u, g)
+
+    @pytest.mark.parametrize("lo,hi", [(1, 4), (4, None), (1, None), (2, 50)])
+    def test_list_ranges_against_mpmath(self, lo, hi):
+        values = tuple(1.0 / (1.0 + 0.3 * n) ** 2 for n in range(40))
+        spec = GammaSumSpec(r=1.5, weights=ExplicitWeights(values))
+        us = np.array([0.5, -4.0, 60.0])
+        for g, u in zip(log_cf(spec, lo, hi, us), us):
+            self.assert_close(spec, lo, hi, u, g)
+
+    def test_steep_power_law_is_one_weight(self):
+        # gamma = 1e12 leaves lambda_1 alone; zeta(j gamma, cut) is NaN in
+        # scipy past j gamma = 2.5e13 and must read as 0
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=1e12, scale=1.0))
+        want = complex(-0.5 * math.log1p(4.0), math.atan(2.0) - 2.0)
+        assert log_cf(spec, 1, None, 2.0) == pytest.approx(want, rel=1e-15)
+        assert log_cf(spec, 2, None, 2.0) == 0.0
+
+    def test_direct_term_budget(self):
+        spec = reference_spec()
+        with pytest.raises(NumericalError, match="budget"):
+            log_cf(spec, 5, None, np.array([1.0, 1e6]))
+        # a head with finite hi never takes the budget: it has no series
+        assert math.isfinite(log_cf(spec, 1, 5, 1e6).real)
 
 
 class TestLevyDensity:
@@ -253,6 +358,24 @@ class TestReLogCf:
         # u = 1e6 would need about 2.6e8 explicit terms below the series cut
         with pytest.raises(NumericalError, match="budget"):
             re_log_cf(reference_spec(), 5, 1e6)
+
+    def test_frequency_just_below_direct_term_budget(self):
+        # edge - M = (2b)^(1/(2 gamma)) - M reaches the budget of 2^20 at
+        # b = u^2 / (r s_2) = (2^20 + M)^(2 gamma) / 2
+        spec, m = reference_spec(), 5
+        s2 = tail_power_sum(spec, m, 2)[1]
+        u_max = math.sqrt((2**20 + m) ** 1.5 / 2.0 * spec.r * s2)
+        a = re_log_cf(spec, m, 0.999 * u_max)
+        assert math.isfinite(a) and a > re_log_cf(spec, m, 0.5 * u_max) > 0.0
+        with pytest.raises(NumericalError, match="budget"):
+            re_log_cf(spec, m, 1.001 * u_max)
+
+    def test_overflowing_normalized_frequency_is_numerical(self):
+        # b = u^2 / (r s_2) = 5e19 is finite, but u / sigma_M leaves the
+        # float range when the weights are this small
+        spec = GammaSumSpec(r=1.0, weights=ExplicitWeights((1e-300, 1e-300)))
+        with pytest.raises(NumericalError, match="overflows"):
+            re_log_cf(spec, 1, 1e10)
 
     def test_overflowing_explicit_frequency_is_numerical(self):
         spec = GammaSumSpec(r=1.0, weights=ExplicitWeights((1.0, 0.5)))
