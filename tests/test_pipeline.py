@@ -1,8 +1,9 @@
 """Tests for the head/tail assembly pipeline.
 
 The convolution quadrature is checked against adaptive quadrature of the
-same integrand, the M = 1 path against the plain normal limit, and the
-degenerate-tail branch against the bare head inversion.
+same integrand and, at M = 2, of the closed-form head; the M = 1 path
+against the plain normal limit, and the degenerate-tail branch against the
+bare head inversion.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 from numpy.polynomial.hermite_e import hermeval
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.special import erf, erfc
+from scipy.special import erf, erfc, gammainc
 
 import gammasum.pipeline as pipeline_module
 from gammasum.cumulants import cumulants, sigma_M
@@ -21,7 +22,12 @@ from gammasum.errors import DomainError
 from gammasum.finite_sum import invert_to_table, make_head_cf
 from gammasum.mc_oracle import ks_distance, sample_z
 from gammasum.pipeline import PipelineConfig, default_z_grid, m_robustness, z_cdf
-from gammasum.weights import ExplicitWeights, GammaSumSpec, make_power_law_normalized
+from gammasum.weights import (
+    ExplicitWeights,
+    GammaSumSpec,
+    PowerLawWeights,
+    make_power_law_normalized,
+)
 
 SPEC = make_power_law_normalized(0.75, 0.5)
 
@@ -60,6 +66,14 @@ class TestPipelineConfig:
         # total sd is 1 for a normalized spec; +/- 6 is not enough
         with pytest.raises(DomainError):
             PipelineConfig(spec=SPEC, M=5, N=3, grid=np.linspace(-6.0, 6.0, 801))
+
+    def test_grid_must_be_uniform(self):
+        grid = default_z_grid(SPEC, 801)
+        PipelineConfig(spec=SPEC, M=5, N=3, grid=grid * (1.0 + 1e-12 * np.sin(grid)))
+        bumped = grid.copy()
+        bumped[400] += 1e-6 * (grid[1] - grid[0])
+        with pytest.raises(DomainError, match="uniform"):
+            PipelineConfig(spec=SPEC, M=5, N=3, grid=bumped)
 
     def test_default_grid_spans_eight_sd(self):
         g = default_z_grid(SPEC, 1001)
@@ -166,13 +180,80 @@ class TestConvolutionQuadrature:
             assert err < 1e-8
             assert tab.cdf[idx] == pytest.approx(val, abs=5e-7)
 
+    def test_m2_against_closed_form_head_quadrature(self):
+        """M = 2: the head is lambda_1 (eta_1 - 1), with the closed-form CDF
+        gammainc(r, r (1 + x / lambda_1)), whose density has a square-root
+        kink at x = -lambda_1.  quad of that CDF times the tail density,
+        split at the kink, is independent of the lattice and the mixture."""
+        m, n_order = 2, 5
+        sig = sigma_M(SPEC, m)
+        lam1 = float(SPEC.weights.head(m)[0])
+        r = SPEC.r
+        grid = default_z_grid(SPEC, 2001)
+        tab = z_cdf(PipelineConfig(spec=SPEC, M=m, N=n_order, grid=grid))
+        ex = build_expansion(cumulants(SPEC, m, n_order), n_order)
+
+        def integrand(t, x):
+            head = gammainc(r, r * (1.0 + (x - sig * t) / lam1))
+            return head * edgeworth_pdf(ex, t)
+
+        idx = np.arange(0, grid.size, 50)
+        want = []
+        for x in grid[idx]:
+            # the head CDF is 0 for t past the support edge
+            edge = min((x + lam1) / sig, 12.0)
+            val = 0.0
+            if edge > -12.0:
+                val = quad(
+                    integrand, -12.0, edge, args=(x,),
+                    limit=500, epsabs=1e-13, epsrel=1e-12,
+                )[0]
+            want.append(val)
+        # the table's own repair: clamp into [0, 1] and running maximum
+        want = np.minimum(np.maximum.accumulate(np.maximum(want, 0.0)), 1.0)
+        assert idx.size >= 41
+        assert np.max(np.abs(tab.cdf[idx] - want)) < 2e-6
+
     def test_refinement_stability(self, monkeypatch):
-        # doubling the quadrature node count moves the CDF by < 1e-6
+        # halving the lattice step moves the CDF by < 1e-6
         cfg = PipelineConfig(spec=SPEC, M=5, N=5, grid=default_z_grid(SPEC, 401))
         base = z_cdf(cfg)
-        monkeypatch.setattr(pipeline_module, "_QUAD_POINTS", 8001)
+        steps = pipeline_module._lattice_steps
+        monkeypatch.setattr(
+            pipeline_module, "_lattice_steps", lambda n, h, sig: 2 * steps(n, h, sig)
+        )
         fine = z_cdf(cfg)
         assert np.max(np.abs(base.cdf - fine.cdf)) < 1e-6
+
+    def test_narrow_tail_lattice_budget(self, monkeypatch):
+        # sigma_M = 6.8e-5 sd: at sigma_M / 200 the lattice would hold 41
+        # windows of about 4000 points; the budget widens the step instead
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(6.0, 1.0))
+        cfg = PipelineConfig(spec=spec, M=5, N=4, grid=default_z_grid(spec, 41))
+        sizes = []
+
+        def counted(hcf, grid):
+            sizes.append(len(grid))
+            return invert_to_table(hcf, grid)
+
+        monkeypatch.setattr(pipeline_module, "invert_to_table", counted)
+        base = z_cdf(cfg)
+        assert sizes and max(sizes) <= max(1 << 14, 41 * cfg.grid.size)
+        budget = pipeline_module._LATTICE_BUDGET
+        monkeypatch.setattr(pipeline_module, "_LATTICE_BUDGET", 4 * budget)
+        wide = z_cdf(cfg)
+        assert np.max(np.abs(base.cdf - wide.cdf)) < 1e-9
+
+    def test_lattice_step_below_float_spacing(self):
+        # at x = +/- 1e30 the lattice step sigma_M / 2 = 3.4e-5 vanishes in
+        # rounding, so lattice points repeat; x = 0 keeps its full window
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(6.0, 1.0))
+        far_grid = np.linspace(-1e30, 1e30, 9)
+        far = z_cdf(PipelineConfig(spec=spec, M=5, N=4, grid=far_grid))
+        near = z_cdf(PipelineConfig(spec=spec, M=5, N=4, grid=default_z_grid(spec, 41)))
+        assert far.cdf[0] == 0.0
+        assert far.cdf[-1] == pytest.approx(1.0, abs=1e-9)
+        assert far.cdf[4] == pytest.approx(near.cdf[20], abs=1e-9)
 
 
 class TestTableQuality:
@@ -188,6 +269,14 @@ class TestTableQuality:
         assert tab.pdf is not None
         assert float(np.min(tab.pdf)) >= 0.0
         assert "tail_mass" in tab.diagnostics
+
+    def test_density_omitted_when_dense_head_table_drops_it(self):
+        # a 10-sd grid step: the lattice head table keeps its density, the
+        # dense table of 8001 points over +/- 1e4 sd cannot integrate it
+        grid = np.linspace(-1e4, 1e4, 2001)
+        tab = z_cdf(PipelineConfig(spec=SPEC, M=10, N=5, grid=grid))
+        assert tab.pdf is None
+        assert any(w.startswith("density omitted: its grid mass") for w in tab.warnings)
 
     def test_density_omitted_for_single_factor_head(self):
         # M=2 at r=1/2 leaves a head density unbounded at its left end
@@ -248,8 +337,7 @@ class TestMRobustness:
         cfg = PipelineConfig(spec=SPEC, M=5, N=5, grid=default_z_grid(SPEC, 401))
         assert m_robustness(cfg, [5, 10])[0] < 0.01
 
-    def test_higher_order_absorbs_truncation_better(self, monkeypatch):
-        monkeypatch.setattr(pipeline_module, "_QUAD_POINTS", 2001)
+    def test_higher_order_absorbs_truncation_better(self):
         grid = default_z_grid(SPEC, 401)
         rob = {
             n: m_robustness(PipelineConfig(spec=SPEC, M=2, N=n, grid=grid), [2, 20])[0]
