@@ -15,7 +15,7 @@ overflows, or yields a NaN or inf.
 """
 
 import argparse
-import io
+import functools
 import json
 import math
 import os
@@ -75,9 +75,9 @@ def _csv_text(cols):
     data = np.column_stack([np.asarray(c, dtype=float) for _, c in cols])
     if not np.all(np.isfinite(data)):
         raise NumericalError("non-finite value in the output table")
-    buf = io.StringIO()
-    np.savetxt(buf, data, delimiter=",", fmt="%.17g", header=header, comments="")
-    return buf.getvalue()
+    # the bytes np.savetxt(fmt="%.17g", delimiter=",") writes, in one format
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    return header + "\n" + row * data.shape[0] % tuple(data.ravel().tolist())
 
 
 def _write_manifest(out_path, command, argv, config, warnings=()):
@@ -261,6 +261,7 @@ def _cmd_repro(args, argv):
     _emit(os.path.join(args.outdir, "summary.json"), summary, "repro-sec6", argv, config)
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gammasum",

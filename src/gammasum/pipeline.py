@@ -17,11 +17,12 @@ y_j = (j - J) delta, j = 0 .. 2J, on a lattice of step delta = h / m, so
 every x_i - y_j is a point of one lattice, z_l = x_0 - J delta + l delta,
 and the window of output i is the W = 2J + 1 lattice points from l = i m.
 The head CDF is tabulated once, exactly (the mixture of finite_sum), at
-every lattice point that some window covers, and each output value is one
-dot product of W head values with the trapezoid-times-Edgeworth weights.
-Windows overlap when m < W; otherwise the lattice is W points around each
-output point.  Either way the points are taken with stride s = min(m, W),
-U = (n - 1) s + W of them for n output points.
+every lattice point that some window covers: windows start at stride
+s = min(m, W), overlapping when m < W, so n outputs cover U = (n - 1) s + W
+points.  One real-FFT convolution of length >= U with the
+trapezoid-times-Edgeworth weights w gives all n window sums in O(U log U),
+to a few 1e-16 sum |w| (about 1) times the largest head value, absolute; a
+window of zero head values sums to exactly 0.
 
 m is the least step count with delta <= sigma_M / 200, and J is
 ceil(10 sigma_M / delta).  When that makes U larger than 2^13 or 8 n,
@@ -30,9 +31,7 @@ count with delta <= sigma_M / 2 (at least 41 points per window): a narrow
 tail, sigma_M = 7e-5 sd at power law gamma = 6, M = 5, would otherwise ask
 for 2^20 head points.  Halving lands U between about half the budget and
 the budget.  The reference tables (M = 2 .. 20 on 2001 points) stay within
-it at m = 3 or 4, with 10,500 to 13,000 head points each.  The head cost
-per point, not the dot products, sets the time of a narrow-tail table, so
-the budget keeps it near the 4001 to 8001 points of the dense table below.
+it at m = 3 or 4, with 10,500 to 13,000 head points each.
 
 The PDF column still enters through a monotone cubic (PCHIP) interpolant of
 a dense head table, evaluated at the lattice points, because the recorded
@@ -76,6 +75,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
+from scipy import fft
 from scipy.interpolate import PchipInterpolator
 
 from .cumulants import _tail_sd, cumulants, sigma_M
@@ -94,8 +94,6 @@ _TAIL_HALF_WIDTH = 10.0
 _POINT_MASS_EPS = 1e-12
 _NEG_MASS_WARN = 1e-3
 _MASS_DEV_WARN = 1e-6
-# output points in one block of windowed dot products
-_GRID_CHUNK = 256
 # lattice nodes per tail sd: the lattice step is at most sigma_M / 200, and
 # never more than sigma_M / 2 when the budget lowers it
 _NODES_PER_SD = 200
@@ -171,37 +169,38 @@ def _lattice_steps(n, h, sig):
     return m
 
 
+def _windowed_sums(v, w, stride):
+    """sum_k v[i s + k] w[W - 1 - k] for each window i of W = len(w) points at
+    stride s, by one circular convolution of length >= len(v), which wraps
+    only below index W - 1; a window of zeros sums to exactly 0."""
+    length = fft.next_fast_len(v.size, real=True)
+    full = fft.irfft(fft.rfft(v, length) * fft.rfft(w, length), length)
+    nonzero = np.cumsum(np.r_[0, v != 0])  # nonzero values before each index
+    ends = np.arange(w.size, v.size + 1, stride)
+    return np.where(nonzero[ends] == nonzero[ends - w.size], 0.0, full[ends - 1])
+
+
 def _convolve(cfg, ex, sig, sd):
     """(lattice head table, warnings, CDF, PDF or None): the head convolved
     with the tail density by the trapezoid rule on the lattice, in units of
     ``sd`` (see the module docstring)."""
     xs, sig_u = cfg.grid / sd, sig / sd
     n = xs.size
-    # Python floats: a step too large for the lattice overflows m to inf,
-    # which math.ceil rejects with OverflowError, without a RuntimeWarning
+    # a Python float: a step too large for the lattice reads inf, unwarned
     h = float(xs[-1] - xs[0]) / (n - 1)
+    if not math.isfinite(_NODES_PER_SD * h / sig_u):
+        raise NumericalError(f"grid step {h * sd:.6g} over sigma_M = {sig:.6g} overflows")
     m = _lattice_steps(n, h, sig_u)
     half, stride, size = _window(n, h, sig_u, m)
     delta = h / m
-    y = delta * np.arange(-half, half + 1)
-    wf = np.full(y.size, delta)
-    wf[0] = wf[-1] = 0.5 * delta
-    # reversed: window position k of output i holds x_i - y_{2J-k}
-    wf = (wf * edgeworth_pdf(ex, y / sig_u) / sig_u)[::-1]
+    w = delta * edgeworth_pdf(ex, delta * np.arange(-half, half + 1) / sig_u) / sig_u
+    w[[0, -1]] *= 0.5
     block, pos = np.divmod(np.arange(size), stride)
     z = xs[0] + block * h + (pos - half) * delta
-
-    def windowed(v):
-        rows = np.lib.stride_tricks.sliding_window_view(v, y.size)[::stride]
-        out = np.empty(n)
-        for i0 in range(0, n, _GRID_CHUNK):
-            out[i0 : i0 + _GRID_CHUNK] = rows[i0 : i0 + _GRID_CHUNK] @ wf
-        return out
-
     # a lattice step below the float spacing of a far grid repeats points
     points, back = np.unique(sd * z, return_inverse=True)
     head = invert_to_table(make_head_cf(cfg.spec, cfg.M), points)
-    cdf, pdf, warnings = windowed(head.cdf[back]), None, head.warnings
+    cdf, pdf, warnings = _windowed_sums(head.cdf[back], w, stride), None, head.warnings
     if head.pdf is None:
         return head, warnings, cdf, pdf
     # the PDF still reads a PCHIP interpolant of the dense head table, not
@@ -216,7 +215,7 @@ def _convolve(cfg, ex, sig, sd):
         # to inf, and its reciprocal, slope 0, is the correct limit
         with np.errstate(divide="ignore", over="ignore"):
             interp = PchipInterpolator(dense.grid / sd, dense.pdf, extrapolate=True)
-            pdf = windowed(interp(z))
+            pdf = _windowed_sums(interp(z), w, stride)
     return head, warnings + dense.warnings, cdf, pdf
 
 

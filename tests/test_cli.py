@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import ndtr, zeta
 
 import gammasum
-from gammasum.cli import _load_spec, _parse_grid, dispatch
+from gammasum.cli import _csv_text, _load_spec, _parse_grid, dispatch
 from gammasum.cumulants import berry_esseen_bound, sigma_M
 from gammasum.edgeworth import build_expansion, edgeworth_cdf
 from gammasum.cumulants import cumulants as tail_cumulants
@@ -58,6 +58,13 @@ def write_normal_table(path):
                header="x,cdf", comments="")
 
 
+def savetxt_text(header, data):
+    """What np.savetxt writes for a %.17g table under ``header``."""
+    buf = io.StringIO()
+    np.savetxt(buf, data, delimiter=",", fmt="%.17g", header=",".join(header), comments="")
+    return buf.getvalue()
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -77,6 +84,18 @@ class TestGridParser:
     def test_malformed(self, bad):
         with pytest.raises(DomainError):
             _parse_grid(bad)
+
+
+class TestCsvText:
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_bytes_equal_savetxt(self, columns):
+        rng = np.random.default_rng(columns)
+        exponents = rng.integers(-320, 308, (200, columns))
+        data = rng.standard_normal((200, columns)) * 10.0**exponents
+        data.ravel()[:9] = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                            1e308, -1e308, 1.7976931348623157e308, 1.0 / 3.0]
+        names = ["x", "cdf", "pdf"][:columns]
+        assert _csv_text(list(zip(names, data.T))) == savetxt_text(names, data)
 
 
 class TestDispatchBasics:
@@ -426,6 +445,19 @@ class TestFloatRangeInputs:
         assert data[5, 1] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-15)
         assert data[6:, 1].tolist() == [1.0] * 5
 
+    def test_grid_step_beyond_lattice_range_is_named(self):
+        # sigma_M = 6.8e-5 at power law gamma = 6, M = 5: grid step / sigma_M
+        # overflows the lattice's step count
+        doc = {"r": 1.0, "weights": {"kind": "power_law", "gamma": 6.0, "scale": 1.0}}
+        args = ["zdist", "--M", "5", "--N", "4", "--grid=-1e305:1e305:9", "--out", "{tmp}/z.csv"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run_fuzzed(doc, args)
+        assert rc == 3 and out == ""
+        assert err.splitlines() == [
+            "numerical failure: grid step 2.5e+304 over sigma_M = 6.81707e-05 overflows"
+        ]
+
     def test_huge_explicit_weights_without_flag(self):
         # the normalization auto-detection squares 1e308; that sum reads inf
         # instead of failing with Python's errno tuple
@@ -662,6 +694,10 @@ class TestReproduction:
         assert spec_obj["r"] == 0.5
         _, data = read_csv(str(tmp_path / "z_M10.csv"))
         assert np.all(np.diff(data[:, 1]) >= 0.0)
+        # %.17g round-trips, so np.savetxt of the values read back is the file
+        for m in (2, 5, 10, 20):
+            path = tmp_path / f"z_M{m}.csv"
+            assert path.read_text() == savetxt_text(*read_csv(str(path)))
 
     def test_missed_normalization_constant_exit_3(self, tmp_path, capsys, monkeypatch):
         # the computed C = 0.43750... is checked against the reference before

@@ -256,6 +256,41 @@ class TestConvolutionQuadrature:
         assert far.cdf[4] == pytest.approx(near.cdf[20], abs=1e-9)
 
 
+_NARROW_TAIL = GammaSumSpec(r=1.0, weights=PowerLawWeights(6.0, 1.0))
+# (spec, M, N, grid, columns convolved): the M = 2 head, one gamma factor at
+# r = 1/2, has no density, and the narrow tail's lattice head table drops it
+_FFT_CASES = {
+    **{
+        f"reference_M{m}": (SPEC, m, 5, default_z_grid(SPEC, 2001), 1 if m == 2 else 2)
+        for m in (2, 5, 10, 20)
+    },
+    "narrow_tail": (_NARROW_TAIL, 5, 4, default_z_grid(_NARROW_TAIL, 41), 1),
+    "far_grid": (_NARROW_TAIL, 5, 4, np.linspace(-1e30, 1e30, 9), 1),
+}
+
+
+class TestWindowedSums:
+    @pytest.mark.parametrize("case", list(_FFT_CASES), ids=list(_FFT_CASES))
+    def test_fft_matches_direct_windowed_sum(self, case, monkeypatch):
+        """Every window sum of a Z table, CDF and PDF columns, against the
+        direct sum of the same lattice values and weights."""
+        spec, m, n_order, grid, columns = _FFT_CASES[case]
+        windowed_sums, calls = pipeline_module._windowed_sums, []
+
+        def recorded(v, w, stride):
+            calls.append((v, w, stride, windowed_sums(v, w, stride)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(pipeline_module, "_windowed_sums", recorded)
+        z_cdf(PipelineConfig(spec=spec, M=m, N=n_order, grid=grid))
+        assert len(calls) == columns
+        for v, w, stride, out in calls:
+            rows = np.lib.stride_tricks.sliding_window_view(v, w.size)[::stride]
+            direct = rows @ w[::-1]
+            assert out.shape == direct.shape == grid.shape
+            assert np.max(np.abs(out - direct)) < 1e-13
+
+
 class TestTableQuality:
     @pytest.mark.parametrize("m", [2, 10])
     def test_moments_conserved(self, m):
