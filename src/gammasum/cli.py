@@ -21,6 +21,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from warnings import catch_warnings, filterwarnings
 
 import numpy as np
 
@@ -117,9 +118,10 @@ def _table_columns(tab):
 def _read_table_csv(path):
     """The table in a CSV file; DomainError for anything that is not a valid one."""
     try:
-        with open(path) as fh:
+        with open(path) as fh, catch_warnings():  # a table without rows is rejected below
+            filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             header = fh.readline().strip().split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
         if header not in (["x", "cdf"], ["x", "cdf", "pdf"]) or data.shape[1] != len(header):
             raise DomainError("need finite x,cdf[,pdf] columns under a matching header")
         pdf = data[:, 2] if len(header) == 3 else None

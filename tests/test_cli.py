@@ -621,6 +621,19 @@ class TestMcAndValidate:
         assert err.startswith("error: bad table file")
         assert err.endswith(": pdf mass inf outside [0.998, 1.002]\n")
 
+    @pytest.mark.parametrize("text", [b"", b"x,cdf\n", b"x,cdf\n# no rows\n"])
+    def test_validate_table_without_rows_prints_one_line(self, text):
+        # numpy's loadtxt warns on a table without rows; the table is
+        # rejected with one error line and no UserWarning before it
+        files = [("t.csv", text), ("s.bin", np.zeros(10).tobytes())]
+        args = ["validate", "--table", "{tmp}/t.csv", "--samples", "{tmp}/s.bin"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run_fuzzed({}, args, files=files)
+        assert rc == 2 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: bad table file")
+        assert err.endswith(": need finite x,cdf[,pdf] columns under a matching header\n")
+
     def test_validate_rejects_non_finite_samples(self, tmp_path, capsys):
         table, samples = tmp_path / "z.csv", tmp_path / "s.bin"
         write_normal_table(str(table))

@@ -6,6 +6,7 @@ come from the reference CDF, and exact support constraints.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,36 @@ class TestSampler:
         default = sample_z(*args).values
         monkeypatch.setattr(mc_oracle, "_WORKERS", 1)
         np.testing.assert_array_equal(sample_z(*args).values, default)
+
+    @pytest.mark.parametrize("block", [1, 4096])
+    def test_term_block_groups_the_sum_only(self, monkeypatch, block):
+        # the seed and the chunk length fix the draws; the term block only
+        # groups the sum, and a batch within one block sums alike
+        n = 2 * 2048 + 5
+        short = min(block, mc_oracle._TERM_BLOCK)
+        specs = [reference_spec(), make_power_law_normalized(gamma=0.75, r=2.0)]
+        default = [sample_z(spec, "normal_tail", n, 8, 600).values for spec in specs]
+        default_short = [sample_head(spec, short + 1, n, 9).values for spec in specs]
+        monkeypatch.setattr(mc_oracle, "_TERM_BLOCK", block)
+        for spec, want, want_short in zip(specs, default, default_short):
+            got = sample_z(spec, "normal_tail", n, 8, 600).values
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(sample_head(spec, short + 1, n, 9).values, want_short)
+
+    def test_memory_is_one_term_block_per_worker(self):
+        # a worker holds one fresh 64-term block (1 MiB at 2048 samples), so
+        # 4096 terms need no more than a block per worker, one spare, and
+        # the output
+        n = 20_000
+        workers = min(mc_oracle._WORKERS, -(-n // mc_oracle._SAMPLE_CHUNK))
+        tracemalloc.start()
+        try:
+            batch = sample_z(reference_spec(), "normal_tail", n, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.n_terms == 4096
+        assert peak <= (workers + 1) * 64 * mc_oracle._SAMPLE_CHUNK * 8 + batch.values.nbytes
 
     def test_ragged_sizes(self):
         # neither size a multiple of its chunk; mean 0 and unit variance
