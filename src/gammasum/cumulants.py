@@ -8,10 +8,9 @@ normalized tail Y_tilde_M = Y_M / sigma_M has cumulants
                 = (k-1)! r^{1-k/2} s_k / s_2^{k/2},    k >= 2,
 
 with kappa_{2,M} = 1 identically.  ``weights.tail_power_sum`` gives
-S_k(M) = c^k s_k with one factor c for every k (a power law's scale, or a
-list's first tail weight lambda_M), so sigma_M = c sqrt(s_2 / r) and the
-kappas, which do not depend on the weights' scale, are formed from the
-s_k alone: a scale whose powers leave the float range does not matter.
+S_k(M) = c^k s_k with one factor c = lambda_M for every k and scale-free
+s_k >= 1, so sigma_M = c sqrt(s_2 / r) and the kappas are formed from the
+s_k alone: neither the weights' scale nor their decay enters them.
 
 Because Y_tilde_M is an infinitely divisible pure-jump variable,
 sup_x |P[Y_tilde_M <= x] - Phi(x)| is bounded by 0.7056 * kappa_{3,M}
@@ -68,7 +67,7 @@ class TailCumulants:
 
 def _tail_sd(spec: GammaSumSpec, m: int) -> float:
     """c sqrt(s_2 / r) = sqrt((1/r) sum_{n>=M} lambda_n^2), which is 0.0 for
-    an empty or underflowed tail."""
+    an empty tail or one whose lambda_M underflows."""
     c, s2 = tail_power_sum(spec, m, 2)
     sd = c * math.sqrt(s2 / spec.r)
     if sd == math.inf:
@@ -81,43 +80,33 @@ def sigma_M(spec: GammaSumSpec, m: int) -> float:
     sig = _tail_sd(spec, m)
     if sig == 0.0:
         raise DegenerateTailError(
-            f"weight tail is empty at M = {m}; sigma_M = 0 and the normalized "
-            f"tail is undefined"
+            f"weight tail is empty or underflows at M = {m}; sigma_M = 0 and "
+            f"the normalized tail is undefined"
         )
     return sig
-
-
-def _scaled_power_sum(spec: GammaSumSpec, m: int, k: int) -> float:
-    """s_k = S_k(M) / c^k; the tail must be non-empty, and a sum that
-    underflows raises NumericalError."""
-    sk = tail_power_sum(spec, m, k)[1]
-    if sk == 0.0:
-        raise NumericalError(f"scaled tail power sum s_{k} underflows at M = {m}")
-    return sk
 
 
 def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
     """kappa_{k,M} for k = 2..K via exact, scale-free tail power sums.
 
-    K is capped at MAX_CUMULANT_ORDER; kappa_{2,M} = 1! (s_2 / s_2^1.0) r^0.0
-    is exactly 1 for every finite non-zero s_2.  A cumulant out of the float
+    K is capped at MAX_CUMULANT_ORDER; kappa_{2,M} = 1! (s_2 / s_2) s_2^0.0
+    r^0.0 is exactly 1 for every finite s_2.  A cumulant out of the float
     range raises NumericalError.
     """
     m = _check_m(m)
     K = _check_int(K, "cumulant order K", 3, MAX_CUMULANT_ORDER)
     r = spec.r
     sig = sigma_M(spec, m)
-    s2 = _scaled_power_sum(spec, m, 2)
+    s2 = tail_power_sum(spec, m, 2)[1]
     kappa = []
     for k in range(2, K + 1):
-        denom = s2 ** (k / 2)
-        if denom == 0.0:
-            raise NumericalError(f"s_2^{k / 2:g} underflows at M = {m}")
         try:
             r_pow = r ** (1 - k / 2)
         except OverflowError:
             r_pow = math.inf
-        kk = math.factorial(k - 1) * (_scaled_power_sum(spec, m, k) / denom) * r_pow
+        # s_k / s_2 <= 1 and s_2 >= 1, so neither factor overflows
+        ratio = tail_power_sum(spec, m, k)[1] / s2 * s2 ** (1 - k / 2)
+        kk = math.factorial(k - 1) * ratio * r_pow
         if not kk < math.inf:
             raise NumericalError(f"kappa_{k} overflows at M = {m}")
         kappa.append(kk)
@@ -133,7 +122,7 @@ def berry_esseen_bound(spec: GammaSumSpec, m: int) -> float:
 def be_condition_ratio(spec: GammaSumSpec, m: int) -> float:
     """S_3(M) / S_2(M)^{3/2}; asymptotic normality needs this to tend to 0."""
     sigma_M(spec, m)  # an empty tail has no ratio
-    return _scaled_power_sum(spec, m, 3) / _scaled_power_sum(spec, m, 2) ** 1.5
+    return tail_power_sum(spec, m, 3)[1] / tail_power_sum(spec, m, 2)[1] ** 1.5
 
 
 def support_lower_bound(spec: GammaSumSpec, m: int) -> float:

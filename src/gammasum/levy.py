@@ -8,8 +8,8 @@
 The head CF is exp(log_cf(spec, 1, M, u)); the tail past M, scaled to unit
 variance, has log-CF log_cf(spec, M, None, u / sigma_M) with real part
 -A_M(u), A_M(u) = (r/2) sum_{n >= M} log(1 + u^2 lambda_n^2 / (r sigma_M)^2).
-Since (r sigma_M)^2 = r c^2 s_2 (see ``weights.tail_power_sum``), A_M
-depends on b = u^2 / (r s_2) and lambda_n / c alone, not on the scale c.
+Since (r sigma_M)^2 = r c^2 s_2 with c = lambda_M (``weights.tail_power_sum``),
+A_M depends on b = u^2 / (r s_2) and lambda_n / c alone, not on magnitude.
 
 That tail is infinitely divisible with Levy density
 
@@ -40,6 +40,7 @@ from .weights import (
     _check_int,
     _check_m,
     _check_real,
+    _zs,
     tail_power_sum,
 )
 
@@ -127,14 +128,12 @@ def log_cf(spec, lo, hi, u):
     Term n is -r log(1 - i w_n) - i r w_n with w_n = u lambda_n / r: real
     part -(r/2) log1p(w_n^2), imaginary part r (atan w_n - w_n).  An
     infinite power-law tail sums the terms below cut = max(lo, 64, edge),
-    where w_edge^2 = 1/2, then adds r sum_{j=2}^{100} (i t)^j zeta(j gamma,
-    cut) / j with t = u scale / r; more than _MAX_DIRECT_TERMS terms below
-    the cut raise NumericalError.  The real part is relatively accurate to
-    about 1e-13 where zeta(j gamma, cut) stays normal until (t cut^-gamma)^j
-    is negligible (at gamma = 3, M = 40 it underflows early: 3e-12).  An
-    explicit term's imaginary part is a difference, with absolute error
-    about 1e-16 r |w_n|, so it is relatively accurate only where |w_n| is
-    not small.
+    where w_edge^2 = 1/2, then adds r sum_{j=2}^{100} (i w_cut)^j zs(j gamma,
+    cut) / j, where zs(s, q) = q^s zeta(s, q) >= 1 (``weights._zs``); more
+    than _MAX_DIRECT_TERMS terms below the cut raise NumericalError.  The
+    real part is relatively accurate to about 1e-13.  An explicit term's
+    imaginary part is a difference, with absolute error about 1e-16 r |w_n|,
+    so it is relatively accurate only where |w_n| is not small.
     """
     w = spec.weights
     r = spec.r
@@ -152,9 +151,8 @@ def log_cf(spec, lo, hi, u):
                 )
             hi = max(lo, _EM_MIN_CUT, math.ceil(edge))
             j = np.arange(_SERIES_TERMS, 1, -1)
-            # scipy's zeta reads NaN where it underflows at huge j gamma
-            coef = np.nan_to_num(special.zeta(j * w.gamma, hi)) / j
-            z = 1j * t / r
+            coef = _zs(j * w.gamma, hi) / j
+            z = 1j * t * hi**-w.gamma / r
             series = r * z * z * reduce(lambda y, c: y * z + c, coef.tolist(), 0.0)
         x = np.arange(lo, hi, dtype=float) ** -w.gamma
     else:

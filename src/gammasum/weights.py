@@ -12,17 +12,17 @@ functions) reduces to power sums of the weights
     S_k(M) = sum_{n>=M} lambda_n^k,
 
 which this module computes to near machine precision for two families.
-A sum is returned as a pair (c, s) with S_k(M) = c^k s: the weights' scale
-is the one factor c, and s is the power sum of lambda_n / c, so a scale
-whose powers leave the float range never enters s.
+A sum is returned as a pair (c, s) with S_k(M) = c^k s: c = lambda_M, the
+first tail weight, carries all magnitude, and s = sum_{n>=M} (lambda_n / c)^k
+>= 1 is scale-free, so no scale or decay whose powers overflow enters s.
 
 * ``PowerLawWeights``: lambda_n = C n^{-gamma} with gamma > 1/2 (square
-  summability).  Then c = C and s = sum_{n>=M} n^{-k gamma}, the Hurwitz
-  zeta function zeta(k gamma, M), computed by ``scipy.special.zeta``.
+  summability).  Then c = C M^{-gamma} and s = zs(k gamma, M), where
+  zs(s, q) = q^s zeta(s, q) = sum_{j>=0} (q / (q + j))^s is the scaled
+  Hurwitz zeta function (``_zs``), which never underflows.
 * ``ExplicitWeights``: a finite non-increasing list of positive weights;
   the sequence is exactly zero beyond the list, so all sums are finite.
-  Then c = lambda_M, so every term of s is at most 1; an empty tail gives
-  (0.0, 0.0).
+  Every term of s is at most 1; an empty tail gives (0.0, 0.0).
 
 Choosing (1/r) S_2(1) = 1 gives Var Z = 1; ``make_power_law_normalized``
 enforces this in closed form via C = (zeta(2 gamma)/r)^{-1/2}.
@@ -75,19 +75,36 @@ def _check_real(value, name: str, above: float) -> float:
     return x
 
 
-def _zeta_tail(s: float, start: int) -> float:
-    """sum_{n >= start} n^(-s) for s > 1: the Hurwitz zeta function.
+# _zs sums the terms j < _ZS_DIRECT directly, smallest first, and the rest
+# by Euler-Maclaurin with the ratios B_2l / (2l)!, l = 1..6
+_ZS_DIRECT = 64
+_ZS_J = np.arange(_ZS_DIRECT - 1.0, 0.0, -1.0)
+_ZS_BERNOULLI = special.bernoulli(12)[2::2] / special.factorial(np.arange(2, 13, 2))
 
-    scipy returns NaN instead of 0 once s exceeds about 2.5e13 and the sum
-    underflows (start >= 2); that NaN is mapped to 0.
+
+def _zs(s, q):
+    """zs(s, q) = q^s zeta(s, q) = sum_{j >= 0} (q / (q + j))^s >= 1 for s > 1,
+    elementwise in s (s = inf gives 1), to 1e-15 relative.
+
+    The terms j >= 64 sum to f [a / (s - 1) + 1/2 + sum_l B_2l / (2l)!
+    (s)_{2l-1} / a^{2l-1}], with a = q + 64, f = (q / a)^s and (s)_n the
+    rising factorial.  Past s = a, f < e^-64 and the bracket is taken at
+    s = a, where it cannot overflow; s log1p(j / q) overflows only to inf,
+    where exp(-inf) = 0 is the limit.
     """
-    out = float(special.zeta(s, start))
-    return 0.0 if math.isnan(out) else out
+    s = np.asarray(s, dtype=float)
+    a = q + _ZS_DIRECT
+    x = np.minimum(s, a)
+    rise = np.cumprod((x[..., None] + np.arange(11.0)) / a, axis=-1)[..., ::2]
+    with np.errstate(over="ignore"):
+        terms = np.exp(-s[..., None] * np.log1p(_ZS_J / q))
+        f = np.exp(-s * math.log1p(_ZS_DIRECT / q))
+    return 1.0 + (f * (a / (x - 1.0) + 0.5 + rise @ _ZS_BERNOULLI) + terms.sum(axis=-1))
 
 
 def zeta(s: float) -> float:
     """Riemann zeta(s) = sum_{n>=1} n^(-s) for s > 1, absolute error < 1e-12."""
-    return _zeta_tail(_check_real(s, "zeta argument s", 1.0), 1)
+    return float(special.zeta(_check_real(s, "zeta argument s", 1.0), 1))
 
 
 @dataclass(frozen=True)
@@ -111,13 +128,13 @@ class PowerLawWeights:
         return self.scale * np.arange(1, m, dtype=np.float64) ** (-self.gamma)
 
     def tail_power_sum(self, m: int, k: int) -> tuple:
-        """(scale, zeta(k gamma, M))."""
+        """(lambda_M, zs(k gamma, M)) = (scale M^-gamma, M^(k gamma) zeta(k gamma, M))."""
         s = k * self.gamma
         if s <= 1.0:
             raise DomainError(
                 f"sum of lambda_n^{k} diverges: k*gamma = {s} <= 1"
             )
-        return self.scale, _zeta_tail(s, m)
+        return self.scale * m**-self.gamma, float(_zs(s, m))
 
 
 @dataclass(frozen=True)
@@ -197,7 +214,7 @@ def _check_m(m: int) -> int:
 
 def tail_power_sum(spec: GammaSumSpec, m: int, k: int) -> tuple:
     """(c, s) with S_k(M) = sum_{n>=M} lambda_n^k = c^k s for k >= 2 (exact
-    tail, not truncated); c depends on the family and M, never on k."""
+    tail, not truncated); c = lambda_M for every k, s >= 1 for a non-empty tail."""
     return spec.weights.tail_power_sum(_check_m(m), _check_int(k, "power k", 2))
 
 

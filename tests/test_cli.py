@@ -171,6 +171,32 @@ class TestDispatchBasics:
         out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert len(out["kappa"]) == k - 1 and out["kappa"][0] == 1.0
 
+    def test_steep_power_law_cumulants_are_factorials(self, tmp_path, capsys):
+        # at gamma = 100 the raw sums 3^(-100 k) underflow, but every scaled
+        # sum s_k = zs(100 k, 3) = 1 + (3/4)^(100 k) + ... reads 1, so
+        # kappa_k = (k-1)! r^(1-k/2) s_k / s_2^(k/2) = (k-1)! at r = 1
+        p = tmp_path / "steep.json"
+        doc = {"r": 1, "weights": {"kind": "power_law", "gamma": 100, "scale": 1}}
+        p.write_text(json.dumps(doc))
+        assert dispatch(["cumulants", "--spec", str(p), "--M", "3", "--K", "20"]) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        want = [math.factorial(k - 1) for k in range(2, 21)]
+        assert out["kappa"] == pytest.approx(want, rel=1e-12)
+
+    def test_underflowed_first_tail_weight_exits_2(self, tmp_path, capsys):
+        # lambda_2 = 2^-1e200 underflows to 0, so sigma_M = lambda_2 sqrt(s_2 / r)
+        # reads 0 although the tail is not empty
+        p = tmp_path / "steep.json"
+        doc = {"r": 1, "weights": {"kind": "power_law", "gamma": 1e200, "scale": 1}}
+        p.write_text(json.dumps(doc))
+        assert dispatch(["cumulants", "--spec", str(p), "--M", "2", "--K", "20"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: weight tail is empty or underflows at M = 2; sigma_M = 0 and the "
+            "normalized tail is undefined"
+        ]
+
     @pytest.mark.parametrize(
         "doc, sigma",
         [

@@ -167,6 +167,18 @@ class TestCumulants:
         assert kappas[0] == kappas[1] == kappas[2]
         assert all(math.isfinite(v) for v in kappas[1])
 
+    def test_near_divergent_power_law_at_huge_m(self):
+        # s_2 = zs(2 gamma, M), about M / (2 gamma - 1) = 4.5e32 here: s_2^10
+        # leaves the float range, while kappa_20 is 4.0e-291
+        gamma, m = 0.5 + 2.0**-52, 10**17
+        tc = cumulants(GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma, 1.0)), m, 20)
+        with mpmath.workdps(60):
+            g, q = mpmath.mpf(gamma), mpmath.mpf(m)
+            s2 = mpmath.zeta(2 * g, q)
+            for k in (3, 20):
+                want = mpmath.factorial(k - 1) * mpmath.zeta(k * g, q) / s2 ** (k / 2)
+                assert tc.kappa_k(k) == pytest.approx(float(want), rel=1e-13)
+
     def test_explicit_list_scale_free(self):
         # lists are scaled by their first tail weight
         base = (1.0, 0.6, 0.25, 0.1)

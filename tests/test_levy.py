@@ -1,6 +1,6 @@
 """Levy tail density, cumulants via integration, and the log-CF kernel.
 
-Oracles: chunked long direct sums for the n-series, 30-digit mpmath sums of
+Oracles: chunked long direct sums for the n-series, 40-digit mpmath sums of
 the log-CF cut far from the kernel's own cut, adaptive quadrature of
 (1 - cos(ux)) against the density for the log-CF identity, hand-evaluable
 single-weight cases, and the closed-form cumulants (themselves verified
@@ -106,12 +106,19 @@ class TestExpPowerSum:
         assert v0 >= v1 >= 0.0
 
 
+def mp_zeta(s, q):
+    """mpmath's Hurwitz zeta(s, q), which cancels about s log10(q + 1)
+    digits, at 40 digits beyond that."""
+    with mpmath.workdps(40 + math.ceil(s * math.log10(q + 1))):
+        return mpmath.zeta(s, q)
+
+
 def mp_log_cf(spec, lo, hi, u):
-    """log_cf at one u with 30 digits: explicit terms up to a cut where
+    """log_cf at one u with 40 digits: explicit terms up to a cut where
     |w_n| <= 1/10 (at least 300, far from the kernel's cut), then the
-    series sum_j (i t)^j zeta(j gamma, cut) / j to 1e-32."""
+    series sum_j (i t)^j zeta(j gamma, cut) / j to 1e-42."""
     w = spec.weights
-    with mpmath.workdps(30):
+    with mpmath.workdps(40):
         r = mpmath.mpf(spec.r)
         u = mpmath.mpf(u)
         if isinstance(w, PowerLawWeights):
@@ -130,9 +137,9 @@ def mp_log_cf(spec, lo, hi, u):
             total += -r * mpmath.log(1 - 1j * wn) - 1j * r * wn
         if isinstance(w, PowerLawWeights) and hi is None:
             for j in range(2, 200):
-                term = r * (1j * t) ** j * mpmath.zeta(j * w.gamma, cut) / j
+                term = r * (1j * t) ** j * mp_zeta(j * w.gamma, cut) / j
                 total += term
-                if abs(term) < mpmath.mpf(10) ** -32 * abs(total):
+                if abs(term) < mpmath.mpf(10) ** -42 * abs(total):
                     break
         return complex(total)
 
@@ -204,8 +211,8 @@ class TestLogCf:
             self.assert_close(spec, lo, hi, u, g)
 
     def test_steep_power_law_is_one_weight(self):
-        # gamma = 1e12 leaves lambda_1 alone; zeta(j gamma, cut) is NaN in
-        # scipy past j gamma = 2.5e13 and must read as 0
+        # gamma = 1e12 leaves lambda_1 alone: lambda_cut underflows to 0, and
+        # the series coefficients zs(j gamma, cut) are exactly 1
         spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=1e12, scale=1.0))
         want = complex(-0.5 * math.log1p(4.0), math.atan(2.0) - 2.0)
         assert log_cf(spec, 1, None, 2.0) == pytest.approx(want, rel=1e-15)
@@ -339,6 +346,16 @@ class TestReLogCf:
         for u in (0.5, 1.0, 2.0, 5.0):
             assert re_log_cf(spec, m, u) == pytest.approx(oracle(u), abs=1e-7)
 
+    def test_steep_tail_against_mpmath(self):
+        # the kernel cuts at 161, where w_cut = 0.705; zeta(3 j, 161)
+        # underflows in float from j = 49 on, although w_cut^49 = 4e-8 is not
+        # negligible, and the scaled coefficients zs(3 j, 161) keep every term
+        spec, m, u = GammaSumSpec(r=0.05, weights=PowerLawWeights(3.0, 1.0)), 40, 30.0
+        with mpmath.workdps(40):
+            sig = mpmath.sqrt(mp_zeta(6.0, m) / mpmath.mpf(spec.r))
+            want = -mp_log_cf(spec, m, None, u / sig).real
+        assert re_log_cf(spec, m, u) == pytest.approx(want, rel=1e-13)
+
     def test_increasing_in_abs_u(self):
         spec = reference_spec()
         a1, a2 = re_log_cf(spec, 10, 1.0), re_log_cf(spec, 10, 2.0)
@@ -361,10 +378,12 @@ class TestReLogCf:
 
     def test_frequency_just_below_direct_term_budget(self):
         # edge - M = (2b)^(1/(2 gamma)) - M reaches the budget of 2^20 at
-        # b = u^2 / (r s_2) = (2^20 + M)^(2 gamma) / 2
+        # b = u^2 / (r zeta(2 gamma, M)) = (2^20 + M)^(2 gamma) / 2, where
+        # zeta(2 gamma, M) = (c / scale)^2 s_2 is the raw sum of n^(-2 gamma)
         spec, m = reference_spec(), 5
-        s2 = tail_power_sum(spec, m, 2)[1]
-        u_max = math.sqrt((2**20 + m) ** 1.5 / 2.0 * spec.r * s2)
+        c, s2 = tail_power_sum(spec, m, 2)
+        raw = (c / spec.weights.scale) ** 2 * s2
+        u_max = math.sqrt((2**20 + m) ** 1.5 / 2.0 * spec.r * raw)
         a = re_log_cf(spec, m, 0.999 * u_max)
         assert math.isfinite(a) and a > re_log_cf(spec, m, 0.5 * u_max) > 0.0
         with pytest.raises(NumericalError, match="budget"):

@@ -88,8 +88,9 @@ class TestSampler:
         )
 
     def test_default_term_rule_with_underflowed_tail(self):
-        # zeta(100, 4097) underflows to 0, so the tail sd at the cap reads 0:
-        # that meets the target instead of reading as an empty tail
+        # the raw sum 4097^-100 zs(100, 4097) underflows, but the tail sd at
+        # the cap is lambda_4097 sqrt(zs / r), about 1e-180: it meets the
+        # target and does not read as an empty tail
         spec = GammaSumSpec(r=0.5, weights=PowerLawWeights(gamma=50.0, scale=1.0))
         batch = sample_z(spec, "normal_tail", 10, seed=0)
         assert batch.n_terms == 1

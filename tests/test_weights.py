@@ -8,6 +8,7 @@ the oracles.
 
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from gammasum.weights import (
     tail_power_sum,
     tail_weight_sum,
     zeta,
-    _zeta_tail,
+    _zs,
 )
 
 
@@ -54,20 +55,39 @@ class TestZeta:
 
     @pytest.mark.parametrize("m", [1, 2, 49, 50, 51, 500, 4097])
     def test_hurwitz_tail_relative_error_against_mpmath(self, m):
-        # the error must stay relative as s grows; m = 4097 is where the
-        # sampler's term count evaluates sigma_M.  mpmath cancels about
-        # s log10(m) digits, hence the working precision
-        for s in np.concatenate([np.linspace(1.001, 60.0, 60), [1.0001, 12.0, 30.0]]):
-            s = float(s)
-            with mpmath.workdps(30 + math.ceil(s * math.log10(m + 1))):
-                want = mpmath.zeta(s, m)
-                rel = float(abs(_zeta_tail(s, m) - want) / want)
+        # the error of zs(s, m) = m^s zeta(s, m) must stay relative as s
+        # grows; m = 4097 is where the sampler's term count evaluates
+        # sigma_M.  mpmath cancels about s log10(m + 1) digits, hence the
+        # working precision
+        ss = np.concatenate([np.linspace(1.001, 60.0, 60), [1.0001, 12.0, 30.0]])
+        got = _zs(ss, m)
+        for s, g in zip(ss.tolist(), got.tolist()):
+            with mpmath.workdps(40 + math.ceil(s * math.log10(m + 1))):
+                want = mpmath.mpf(m) ** s * mpmath.zeta(s, m)
+                rel = float(abs(g - want) / want)
             assert rel <= 1e-14, (s, m, rel)
 
     def test_underflowed_tail_is_zero(self):
-        # scipy's Hurwitz zeta gives NaN here, where the sum underflows
-        assert _zeta_tail(1e14, 2) == 0.0
-        assert _zeta_tail(1e14, 1) == 1.0
+        # every term past the first underflows here, so zs is exactly 1
+        assert _zs(1e14, 2) == 1.0
+        assert _zs(1e14, 1) == 1.0
+
+    def test_scaled_hurwitz_grid_against_mpmath(self):
+        # s and q from 1.1 and 1 up to 1000 and 1e5, where scipy's
+        # zeta(s, q) is 0 or NaN; s = inf, from gamma = 1e308, gives 1
+        ss = np.array([1.1, 1.5, 2.0, 3.0, 6.0, 12.0, 30.0, 60.0, 200.0, 1000.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for q in (1, 2, 3, 49, 50, 64, 200, 1000, 4097, 100_000):
+                got = _zs(ss, q)
+                assert _zs(math.inf, q) == 1.0
+                assert _zs(1e308, q) == 1.0
+                for s, g in zip(ss.tolist(), got.tolist()):
+                    assert _zs(s, q) == g
+                    with mpmath.workdps(40 + math.ceil(s * math.log10(q + 1))):
+                        want = mpmath.mpf(q) ** s * mpmath.zeta(s, q)
+                        rel = float(abs(g - want) / want)
+                    assert rel <= 1e-15, (s, q, rel)
 
     def test_large_s_approaches_one(self):
         assert zeta(30.0) == pytest.approx(1.0 + 2.0**-30, rel=1e-9)
