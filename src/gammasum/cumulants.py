@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateTailError, NumericalError
 from .weights import GammaSumSpec, _check_int, _check_m, tail_power_sum, tail_weight_sum
 
@@ -97,20 +99,15 @@ def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
     K = _check_int(K, "cumulant order K", 3, MAX_CUMULANT_ORDER)
     r = spec.r
     sig = sigma_M(spec, m)
-    s2 = tail_power_sum(spec, m, 2)[1]
-    kappa = []
-    for k in range(2, K + 1):
-        try:
-            r_pow = r ** (1 - k / 2)
-        except OverflowError:
-            r_pow = math.inf
-        # s_k / s_2 <= 1 and s_2 >= 1, so neither factor overflows
-        ratio = tail_power_sum(spec, m, k)[1] / s2 * s2 ** (1 - k / 2)
-        kk = math.factorial(k - 1) * ratio * r_pow
-        if not kk < math.inf:
-            raise NumericalError(f"kappa_{k} overflows at M = {m}")
-        kappa.append(kk)
-    return TailCumulants(M=m, sigma_M=sig, kappa=tuple(kappa))
+    k = np.arange(2, K + 1)
+    s = tail_power_sum(spec, m, k)[1]
+    # s_k / s_2 <= 1 and s_2 >= 1, so neither factor overflows; r^(1 - k/2)
+    # may, and the first kappa_k out of range is named
+    with np.errstate(over="ignore"):
+        kappa = np.cumprod(k - 1.0) * (s / s[0] * s[0] ** (1 - k / 2)) * r ** (1 - k / 2)
+    if not np.all(kappa < math.inf):
+        raise NumericalError(f"kappa_{k[np.argmin(kappa < math.inf)]} overflows at M = {m}")
+    return TailCumulants(M=m, sigma_M=sig, kappa=tuple(kappa.tolist()))
 
 
 def berry_esseen_bound(spec: GammaSumSpec, m: int) -> float:
@@ -122,7 +119,8 @@ def berry_esseen_bound(spec: GammaSumSpec, m: int) -> float:
 def be_condition_ratio(spec: GammaSumSpec, m: int) -> float:
     """S_3(M) / S_2(M)^{3/2}; asymptotic normality needs this to tend to 0."""
     sigma_M(spec, m)  # an empty tail has no ratio
-    return tail_power_sum(spec, m, 3)[1] / tail_power_sum(spec, m, 2)[1] ** 1.5
+    s2, s3 = tail_power_sum(spec, m, (2, 3))[1].tolist()
+    return s3 / s2**1.5
 
 
 def support_lower_bound(spec: GammaSumSpec, m: int) -> float:

@@ -18,8 +18,8 @@ That tail is infinitely divisible with Levy density
 which gives two independent checks: kappa_{k,M} = integral x^k nu_M(x) dx,
 and log_cf as the integral of (e^{iux} - 1 - iux) nu_M(x), so A_M(u) =
 integral_0^inf (1 - cos ux) nu_M(x) dx.  For power-law weights the n-series
-of nu_M is completed with an Euler-Maclaurin tail, keeping the truncation
-error far below 1e-12 of the retained sum.
+of nu_M takes one route for every gamma and reads no zeta function: direct
+terms below a cut, then an Euler-Maclaurin tail (``_exp_power_sum``).
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from .weights import (
     tail_power_sum,
 )
 
-_REL_TOL = 1e-13
-_BLOCK = 4096
 # most explicit terms log_cf sums before its series takes over; more fail
 # with NumericalError before anything that size is allocated
 _MAX_DIRECT_TERMS = 1 << 20
@@ -53,22 +51,26 @@ _MAX_DIRECT_TERMS = 1 << 20
 # 2^(-(j-2)/2) of term 2, so the first omitted one is below 2^-49 of it
 _SERIES_TERMS = 100
 
-# Euler-Maclaurin completion is applied only where a*gamma*L^(gamma-1), the
-# log-derivative of the summand at the cut L, is below this; the neglected
-# B_6 correction is then ~ (cap)^6/30240 ~ 2e-14 relative to the tail.
+# Euler-Maclaurin completes sum exp(-a n^gamma) only where the summand's
+# log-derivative u(n) = a gamma n^(gamma-1) is at most this wherever the tail
+# has mass; the neglected B_6 correction is then ~ (cap)^6/30240 ~ 2e-14 of it.
 _EM_DERIV_CAP = 0.03
 _EM_MIN_CUT = 64
+_EM_SPAN = 36.0  # past a n^gamma = a L^gamma + 36 lies under e^-36 of the tail
+_DIRECT_SPAN = 40.0  # terms past z_start + 40 add under e^-40 / cap of the first
 
 # exp(-745) is the smallest positive normal-ish double; beyond that the whole
 # tail underflows and direct summation is exact
 _EXP_UNDERFLOW = 745.0
+_MIN_A = 1e-305  # each n^gamma formed is below 785 / a, inside the float range
 
 
 def _em_tail(a, gamma, cut):
-    """sum_{n >= cut} exp(-a n^gamma) by Euler-Maclaurin, gamma < 1."""
+    """sum_{n >= cut} exp(-a n^gamma) by Euler-Maclaurin, any gamma; inf past the float range."""
     s = 1.0 / gamma
     z = a * cut**gamma
-    integral = s * a ** (-s) * math.gamma(s) * special.gammaincc(s, z)
+    with np.errstate(over="ignore"):
+        integral = s * np.power(a, -s) * math.gamma(s) * special.gammaincc(s, z)
     g = math.exp(-z)
     u1 = a * gamma * cut ** (gamma - 1.0)
     u2 = u1 * (gamma - 1.0) / cut
@@ -78,47 +80,34 @@ def _em_tail(a, gamma, cut):
 
 
 def _exp_power_sum(a, gamma, start):
-    """sum_{n >= start} exp(-a n^gamma).
+    """sum_{n >= start} exp(-a n^gamma) for a >= _MIN_A, to about 1e-13 relative.
 
-    Relative error is kept around 1e-13.  For gamma >= 1 the terms decay at
-    least geometrically and direct block summation terminates quickly; for
-    gamma < 1 the series is cut where the summand still varies slowly and the
-    remainder is completed analytically.
+    One route for every gamma: direct terms below a cut L, ``_em_tail`` from
+    L on.  The log-derivative u(n) = a gamma n^(gamma-1) must meet the cap
+    where the tail has mass.  For gamma < 1, u falls and L = max(start, 64,
+    the n where u reaches the cap); for gamma >= 1, u rises and L = max(start,
+    64) must meet the cap at a n^gamma = a L^gamma + 36.  With no cut, or one
+    past z_start + 40 (z = a n^gamma), direct terms run up to z_start + 40.
     """
-    if a * start**gamma > _EXP_UNDERFLOW:
+    log_a = math.log(a)  # the cut is worked out in log space: no power overflows
+    log_z0 = log_a + gamma * math.log(start)
+    if log_z0 > math.log(_EXP_UNDERFLOW):
         return 0.0
-    if gamma < 1.0:
-        ratio = a * gamma / _EM_DERIV_CAP
-        # cut where the summand's log-derivative drops below the cap; in log
-        # space because the exponent 1/(1-gamma) blows up as gamma -> 1,
-        # where direct summation is the cheap path anyway
-        log_cut = math.log(ratio) / (1.0 - gamma) if ratio > 1.0 else 0.0
-        cut = (
-            max(start, _EM_MIN_CUT, int(math.ceil(math.exp(log_cut))))
-            if log_cut <= 18.0
-            else None
-        )
-        if cut is not None and a * cut**gamma <= _EXP_UNDERFLOW:
-            idx = np.arange(start, cut, dtype=float)
-            explicit = float(np.exp(-a * idx**gamma).sum()) if cut > start else 0.0
-            return explicit + _em_tail(a, gamma, cut)
-
-    # direct summation; tail after n bounded by term(n) + integral past n
-    total = 0.0
-    n = start
-    while True:
-        idx = np.arange(n, n + _BLOCK, dtype=float)
-        terms = np.exp(-a * idx**gamma)
-        total += float(terms.sum())
-        n += _BLOCK
-        z = a * float(n) ** gamma
-        if z > _EXP_UNDERFLOW:
-            break
-        s = 1.0 / gamma
-        bracket = math.exp(-z) + s * a ** (-s) * math.gamma(s) * special.gammaincc(s, z)
-        if bracket < _REL_TOL * total:
-            break
-    return total
+    log_z_end = math.log(math.exp(log_z0) + _DIRECT_SPAN)
+    log_cap = math.log(_EM_DERIV_CAP)
+    log_u0 = log_a + math.log(gamma)  # log u(n) = log_u0 + (gamma - 1) log n
+    log_n_cap = (log_cap - log_u0) / (gamma - 1.0) if gamma < 1.0 else -math.inf
+    log_cut = max(math.log(max(start, _EM_MIN_CUT)), log_n_cap)
+    log_z_cut = log_a + gamma * log_cut
+    # log n at a n^gamma = a L^gamma + 36, clipped: only a cut within z_end reads it
+    log_far = (math.log(math.exp(min(log_z_cut, log_z_end)) + _EM_SPAN) - log_a) / gamma
+    if log_z_cut <= log_z_end and log_u0 + (gamma - 1.0) * log_far <= log_cap:
+        cut = max(start, _EM_MIN_CUT, math.ceil(math.exp(log_n_cap)))
+        idx, tail = np.arange(start, cut, dtype=float), _em_tail(a, gamma, cut)
+    else:
+        end = math.floor(math.exp((log_z_end - log_a) / gamma))
+        idx, tail = np.arange(start, end + 1, dtype=float), 0.0
+    return float(np.exp(-a * idx**gamma).sum() + tail)
 
 
 def log_cf(spec, lo, hi, u):
@@ -182,17 +171,24 @@ def levy_tail_density(spec, m):
 
 
 def levy_density(d, x):
-    """Evaluate the tail Levy density at a finite ``x > 0``."""
+    """Evaluate the tail Levy density at a finite ``x > 0``; a density past the
+    float range, or a power law's a = r x sigma_M / scale below _MIN_A, raises
+    NumericalError."""
     x = _check_real(x, "Levy density point x", 0.0)
     w = d.spec.weights
     r = d.spec.r
     if isinstance(w, PowerLawWeights):
         a = r * x * d.sigma_M / w.scale
+        if not a >= _MIN_A:
+            raise NumericalError(f"exponent a = {a:.3g} at x = {x!r} is below {_MIN_A:g}")
         total = _exp_power_sum(a, w.gamma, d.M)
     else:
         lam = np.asarray(w.values[d.M - 1 :], dtype=float)
         total = float(np.exp(-r * x * d.sigma_M / lam).sum())
-    return (r / x) * total
+    density = (r / x) * total
+    if not density < math.inf:
+        raise NumericalError(f"Levy density at x = {x!r} overflows")
+    return density
 
 
 def cumulant_via_integral(spec, m, k):

@@ -15,6 +15,7 @@ which this module computes to near machine precision for two families.
 A sum is returned as a pair (c, s) with S_k(M) = c^k s: c = lambda_M, the
 first tail weight, carries all magnitude, and s = sum_{n>=M} (lambda_n / c)^k
 >= 1 is scale-free, so no scale or decay whose powers overflow enters s.
+A sequence of k gives an array s from one read.
 
 * ``PowerLawWeights``: lambda_n = C n^{-gamma} with gamma > 1/2 (square
   summability).  Then c = C M^{-gamma} and s = zs(k gamma, M), where
@@ -127,14 +128,15 @@ class PowerLawWeights:
         """Array (lambda_1, ..., lambda_{m-1})."""
         return self.scale * np.arange(1, m, dtype=np.float64) ** (-self.gamma)
 
-    def tail_power_sum(self, m: int, k: int) -> tuple:
-        """(lambda_M, zs(k gamma, M)) = (scale M^-gamma, M^(k gamma) zeta(k gamma, M))."""
-        s = k * self.gamma
-        if s <= 1.0:
-            raise DomainError(
-                f"sum of lambda_n^{k} diverges: k*gamma = {s} <= 1"
-            )
-        return self.scale * m**-self.gamma, float(_zs(s, m))
+    def tail_power_sum(self, m: int, k) -> tuple:
+        """(lambda_M, zs(k gamma, M)) = (scale M^-gamma, M^(k gamma) zeta(k gamma, M));
+        an array of k gives an array of zs from one ``_zs`` call."""
+        with np.errstate(over="ignore"):  # k gamma = inf gives zs = 1
+            s = np.multiply(k, self.gamma, dtype=float)
+        if (s <= 1.0).any():
+            raise DomainError(f"sum of lambda_n^{np.min(k)} diverges: k*gamma = {np.min(s)} <= 1")
+        zs = _zs(s, m)
+        return self.scale * m**-self.gamma, (zs if zs.ndim else float(zs))
 
 
 @dataclass(frozen=True)
@@ -159,13 +161,13 @@ class ExplicitWeights:
     def head(self, m: int) -> np.ndarray:
         return np.asarray(self.values[: m - 1], dtype=np.float64)
 
-    def tail_power_sum(self, m: int, k: int) -> tuple:
-        """(lambda_M, sum of (lambda_n / lambda_M)^k from index m on)."""
-        tail = self.values[m - 1 :]
-        if not tail:
-            return 0.0, 0.0
-        c = tail[0]
-        return c, math.fsum((v / c) ** k for v in tail)
+    def tail_power_sum(self, m: int, k) -> tuple:
+        """(lambda_M, sum of (lambda_n / lambda_M)^k from index m on); an array
+        of k gives an array of sums, from one array power and an fsum per k."""
+        tail = np.asarray(self.values[m - 1 :], dtype=float)
+        c = float(tail[0]) if tail.size else 0.0
+        s = [math.fsum(row) for row in (tail / c) ** np.reshape(k, (-1, 1))]
+        return c, (np.array(s) if np.ndim(k) else s[0])
 
 
 WeightSequence = Union[PowerLawWeights, ExplicitWeights]
@@ -212,10 +214,13 @@ def _check_m(m: int) -> int:
     return _check_int(m, "truncation index M", 1)
 
 
-def tail_power_sum(spec: GammaSumSpec, m: int, k: int) -> tuple:
+def tail_power_sum(spec: GammaSumSpec, m: int, k) -> tuple:
     """(c, s) with S_k(M) = sum_{n>=M} lambda_n^k = c^k s for k >= 2 (exact
-    tail, not truncated); c = lambda_M for every k, s >= 1 for a non-empty tail."""
-    return spec.weights.tail_power_sum(_check_m(m), _check_int(k, "power k", 2))
+    tail, not truncated); c = lambda_M for every k, s >= 1 for a non-empty tail.
+    A sequence of such k gives an array s, one entry per k, in one read."""
+    m = _check_m(m)
+    ks = [_check_int(j, "power k", 2) for j in k] if np.ndim(k) else _check_int(k, "power k", 2)
+    return spec.weights.tail_power_sum(m, ks)
 
 
 def tail_weight_sum(spec: GammaSumSpec, m: int) -> float:

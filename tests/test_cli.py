@@ -783,7 +783,7 @@ class TestManifestConfig:
         assert list(man["config"].items()) == list(expected.items())
 
 
-class TestThreadCapEnv:
+class TestModuleEntryPoint:
     def test_module_entry_point(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(SPEC_JSON))

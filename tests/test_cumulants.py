@@ -9,12 +9,14 @@ lambda_n = 2^-(n+1) counterexample.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gammasum.cumulants
 from gammasum.cumulants import (
     BERRY_ESSEEN_CONSTANT,
     TailCumulants,
@@ -24,12 +26,13 @@ from gammasum.cumulants import (
     sigma_M,
     support_lower_bound,
 )
-from gammasum.errors import DegenerateTailError, DomainError
+from gammasum.errors import DegenerateTailError, DomainError, NumericalError
 from gammasum.weights import (
     ExplicitWeights,
     GammaSumSpec,
     PowerLawWeights,
     make_power_law_normalized,
+    tail_power_sum,
 )
 
 from oracles import brute_zeta_tail
@@ -196,6 +199,34 @@ class TestCumulants:
             assert cumulants(spec, m, 3).kappa[1] == pytest.approx(
                 2.0 / math.sqrt(r), rel=1e-13
             )
+
+
+class TestPowerSumReads:
+    def test_one_read_of_s2_to_sK(self, monkeypatch):
+        # sigma_M reads s_2 on its own; the ratios then read s_2..s_K at once
+        seen = []
+
+        def counting(spec, m, k):
+            seen.append(k if np.ndim(k) == 0 else tuple(int(j) for j in k))
+            return tail_power_sum(spec, m, k)
+
+        monkeypatch.setattr(gammasum.cumulants, "tail_power_sum", counting)
+        for K in (3, 20):
+            seen.clear()
+            cumulants(reference_spec(), 5, K)
+            assert seen == [2, tuple(range(2, K + 1))]
+        seen.clear()
+        be_condition_ratio(reference_spec(), 5)
+        assert seen == [2, (2, 3)]
+
+    def test_first_overflowing_order_is_named(self):
+        # r = 1e-300: kappa_k carries r^(1 - k/2), which first overflows at k = 5
+        spec = GammaSumSpec(r=1e-300, weights=PowerLawWeights(gamma=0.75, scale=1.0))
+        assert cumulants(spec, 1, 4).kappa_k(4) < math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="kappa_5 overflows at M = 1"):
+                cumulants(spec, 1, 20)
 
 
 class TestBerryEsseen:

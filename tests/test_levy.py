@@ -1,13 +1,16 @@
 """Levy tail density, cumulants via integration, and the log-CF kernel.
 
-Oracles: chunked long direct sums for the n-series, 40-digit mpmath sums of
-the log-CF cut far from the kernel's own cut, adaptive quadrature of
-(1 - cos(ux)) against the density for the log-CF identity, hand-evaluable
-single-weight cases, and the closed-form cumulants (themselves verified
-against an mpmath oracle elsewhere) as the dual route.
+Oracles: chunked long direct sums for the n-series and its geometric closed
+form at gamma = 1, 40-digit mpmath sums of the log-CF cut far from the
+kernel's own cut, adaptive quadrature of (1 - cos(ux)) against the density
+for the log-CF identity, hand-evaluable single-weight cases, and the
+closed-form cumulants (themselves verified against an mpmath oracle
+elsewhere) as the dual route.
 """
 
 import math
+import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,6 +21,7 @@ from scipy.integrate import quad
 from gammasum.cumulants import cumulants, sigma_M
 from gammasum.errors import DomainError, NumericalError
 from gammasum.levy import (
+    _EM_DERIV_CAP,
     LevyTailDensity,
     _exp_power_sum,
     cumulant_via_integral,
@@ -95,6 +99,26 @@ class TestExpPowerSum:
     def test_large_a_underflows_to_zero(self):
         got = _exp_power_sum(2000.0, 0.75, 1)
         assert got == 0.0
+
+    def test_geometric_closed_form_at_gamma_one(self):
+        # sum_{n >= 5} e^(-a n) = e^(-5a) / (1 - e^(-a)); the largest a comes
+        # first, so a route whose run time grows like 1/a fails before it stalls
+        for a in (0.1, 1e-3, 1e-5, 1e-7, 1e-9):
+            want = math.exp(-5.0 * a) / -math.expm1(-a)
+            assert _exp_power_sum(a, 1.0, 5) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("gamma", range(1, 21))
+    def test_near_the_euler_maclaurin_switch(self, gamma):
+        # a puts the log-derivative a gamma L^(gamma-1) at the cut L = max(start,
+        # 64) at or below the cap, where only the cap's check at the e^-36
+        # point of the tail keeps Euler-Maclaurin away from a steep tail
+        for start in (1, 64, 1000):
+            for f in (1.0, 0.5, 0.1, 1e-3):
+                a = f * _EM_DERIV_CAP / (gamma * max(start, 64) ** (gamma - 1.0))
+                # brute terms up to a n^gamma = a start^gamma + 50
+                end = math.ceil((start**gamma + 50.0 / a) ** (1.0 / gamma))
+                want = brute_exp_power_sum(a, gamma, start, end - start + 1)
+                assert _exp_power_sum(a, float(gamma), start) == pytest.approx(want, rel=1e-13)
 
     @given(
         st.floats(1e-3, 5.0), st.floats(0.55, 2.0), st.integers(1, 50)
@@ -244,6 +268,41 @@ class TestLevyDensity:
             n_terms = int(min(6_000_000, (50.0 / a) ** (1.0 / 0.75))) + 10
             want = (spec.r / x) * brute_exp_power_sum(a, 0.75, m, n_terms)
             assert levy_density(d, x) == pytest.approx(want, rel=1e-10)
+
+    def test_geometric_closed_form_at_small_x(self):
+        # gamma = 1, M = 5: nu(x) = (r/x) e^(-5a) / (1 - e^(-a)), a = r x sigma_5
+        # / scale; the largest x comes first, as in the sum's own test
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=1.0, scale=1.0))
+        d = levy_tail_density(spec, 5)
+        begin = time.perf_counter()
+        for x in (1e-1, 1e-3, 1e-5, 1e-7, 1e-9):
+            a = x * d.sigma_M
+            want = math.exp(-5.0 * a) / -math.expm1(-a) / x
+            assert levy_density(d, x) == pytest.approx(want, rel=1e-14)
+        assert time.perf_counter() - begin < 1.0
+
+    def test_density_past_float_range_is_numerical(self):
+        # gamma = 0.51: (r/x) * sum overflows at x = 1e-150, and the
+        # Euler-Maclaurin integral's a^(-1/gamma) at x = 1e-160; a list's
+        # r/x overflows at x = 1e-320.  None of them warns.
+        power = levy_tail_density(GammaSumSpec(r=1.0, weights=PowerLawWeights(0.51, 1.0)), 5)
+        listed = levy_tail_density(GammaSumSpec(r=1.0, weights=ExplicitWeights((1.0, 0.5))), 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d, x in ((power, 1e-150), (power, 1e-160), (listed, 1e-320)):
+                with pytest.raises(NumericalError, match="overflows"):
+                    levy_density(d, x)
+
+    def test_steep_tail_past_float_range(self):
+        # gamma = 100 at M = 1300: M^gamma = 2.5e311 is past the float range.
+        # At x = 1 the exponent a = r x sigma_M / scale = 1.1e-311 is too small
+        # for the powers n^gamma; at x = 1e7 the first term is e^(-1e7).
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=100.0, scale=1e300))
+        d = levy_tail_density(spec, 1300)
+        with pytest.raises(NumericalError, match="below"):
+            levy_density(d, 1.0)
+        assert levy_density(d, 1e7) == 0.0
+        assert _exp_power_sum(1e-300, 100.0, 10**4) == 0.0
 
     def test_rapid_decay_at_large_x(self):
         d = levy_tail_density(reference_spec(), 10)

@@ -181,6 +181,33 @@ class TestTailPowerSum:
         with pytest.raises(DomainError):
             tail_power_sum(spec, 1, 1)
 
+    @pytest.mark.parametrize(
+        "weights, m",
+        [
+            (PowerLawWeights(gamma=0.51, scale=1.0), 7),
+            (PowerLawWeights(gamma=2.5, scale=3.0), 200),
+            (PowerLawWeights(gamma=1e308, scale=1.0), 3),  # k gamma = inf
+            (ExplicitWeights(values=tuple(np.linspace(2.0, 0.01, 300))), 5),
+            (ExplicitWeights(values=(1.0, 0.5)), 3),  # empty tail
+        ],
+    )
+    def test_sequence_of_k_matches_scalar_reads(self, weights, m):
+        spec = GammaSumSpec(r=1.0, weights=weights)
+        ks = range(2, 21)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, s = tail_power_sum(spec, m, ks)
+            scalar = [tail_power_sum(spec, m, k) for k in ks]
+        assert isinstance(s, np.ndarray) and s.shape == (len(ks),)
+        assert [pair[0] for pair in scalar] == [c] * len(ks)
+        np.testing.assert_allclose(s, [pair[1] for pair in scalar], rtol=1e-15, atol=0.0)
+
+    def test_sequence_of_k_is_checked_per_entry(self):
+        spec = make_power_law_normalized(gamma=0.75, r=0.5)
+        for bad in ([2, 1], [2, 3.0], [2, True], ["2"]):
+            with pytest.raises(DomainError, match="power k"):
+                tail_power_sum(spec, 3, bad)
+
     @given(
         gamma=st.floats(0.55, 3.0),
         m=st.integers(1, 60),
