@@ -213,7 +213,7 @@ def _mixture_weights(theta, r):
         b = math.exp(lb)
         log_mod += lb - 0.5 * np.log(b * b + 4.0 * cn * half_sq)
         arg += np.arctan2(cn * sin_phi, b + 2.0 * cn * half_sq)
-    p = np.fft.irfft(np.exp(r * log_mod - 1j * (r * arg)), n=k)
+    p = fft.irfft(np.exp(r * log_mod - 1j * (r * arg)), n=k)
     return np.maximum(p, 0.0), tail
 
 

@@ -17,9 +17,10 @@ That tail is infinitely divisible with Levy density
 
 which gives two independent checks: kappa_{k,M} = integral x^k nu_M(x) dx,
 and log_cf as the integral of (e^{iux} - 1 - iux) nu_M(x), so A_M(u) =
-integral_0^inf (1 - cos ux) nu_M(x) dx.  For power-law weights the n-series
-of nu_M takes one route for every gamma and reads no zeta function: direct
-terms below a cut, then an Euler-Maclaurin tail (``_exp_power_sum``).
+integral_0^inf (1 - cos ux) nu_M(x) dx.  Power-law weights enter as lambda_lo
+(n / lo)^-gamma, as a list's do: no power of n leaves the float range.  nu_M's
+n-series sum exp(-z0 (n / M)^gamma), z0 = x sqrt(r s_2), takes one route for
+every gamma: direct terms below a cut, then Euler-Maclaurin (``_exp_power_sum``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from functools import reduce
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 from .cumulants import sigma_M
 from .errors import NumericalError
@@ -51,63 +51,62 @@ _MAX_DIRECT_TERMS = 1 << 20
 # 2^(-(j-2)/2) of term 2, so the first omitted one is below 2^-49 of it
 _SERIES_TERMS = 100
 
-# Euler-Maclaurin completes sum exp(-a n^gamma) only where the summand's
-# log-derivative u(n) = a gamma n^(gamma-1) is at most this wherever the tail
+# Euler-Maclaurin completes sum exp(-z(n)) only where the summand's
+# log-derivative u(n) = gamma z(n) / n is at most this wherever the tail
 # has mass; the neglected B_6 correction is then ~ (cap)^6/30240 ~ 2e-14 of it.
 _EM_DERIV_CAP = 0.03
 _EM_MIN_CUT = 64
-_EM_SPAN = 36.0  # past a n^gamma = a L^gamma + 36 lies under e^-36 of the tail
-_DIRECT_SPAN = 40.0  # terms past z_start + 40 add under e^-40 / cap of the first
+_EM_SPAN = 36.0  # past z(n) = z(L) + 36 lies under e^-36 of the tail
+_DIRECT_SPAN = 40.0  # terms past z0 + 40 add under e^-40 / cap of the first
 
 # exp(-745) is the smallest positive normal-ish double; beyond that the whole
 # tail underflows and direct summation is exact
 _EXP_UNDERFLOW = 745.0
-_MIN_A = 1e-305  # each n^gamma formed is below 785 / a, inside the float range
+_MIN_Z0 = 1e-305  # each (n / start)^gamma formed is below 785 / z0: a finite float
 
 
-def _em_tail(a, gamma, cut):
-    """sum_{n >= cut} exp(-a n^gamma) by Euler-Maclaurin, any gamma; inf past the float range."""
+def _em_tail(z, gamma, cut):
+    """sum_{n >= cut} exp(-z (n / cut)^gamma) by Euler-Maclaurin; inf past the float range."""
     s = 1.0 / gamma
-    z = a * cut**gamma
     with np.errstate(over="ignore"):
-        integral = s * np.power(a, -s) * math.gamma(s) * special.gammaincc(s, z)
+        integral = s * cut * np.power(z, -s) * math.gamma(s) * special.gammaincc(s, z)
     g = math.exp(-z)
-    u1 = a * gamma * cut ** (gamma - 1.0)
+    u1 = gamma * z / cut
     u2 = u1 * (gamma - 1.0) / cut
     u3 = u2 * (gamma - 2.0) / cut
     gppp = (-(u1**3) + 3.0 * u1 * u2 - u3) * g
     return integral + 0.5 * g + (u1 * g) / 12.0 + gppp / 720.0
 
 
-def _exp_power_sum(a, gamma, start):
-    """sum_{n >= start} exp(-a n^gamma) for a >= _MIN_A, to about 1e-13 relative.
+def _exp_power_sum(z0, gamma, start):
+    """sum_{n >= start} exp(-z0 (n / start)^gamma) for z0 >= _MIN_Z0, to about 1e-13 relative.
 
     One route for every gamma: direct terms below a cut L, ``_em_tail`` from
-    L on.  The log-derivative u(n) = a gamma n^(gamma-1) must meet the cap
-    where the tail has mass.  For gamma < 1, u falls and L = max(start, 64,
-    the n where u reaches the cap); for gamma >= 1, u rises and L = max(start,
-    64) must meet the cap at a n^gamma = a L^gamma + 36.  With no cut, or one
-    past z_start + 40 (z = a n^gamma), direct terms run up to z_start + 40.
+    L on.  With z(n) = z0 (n / start)^gamma, the log-derivative u(n) = gamma
+    z(n) / n must meet the cap where the tail has mass.  For gamma < 1, u
+    falls and L = max(start, 64, the n where u reaches the cap); for gamma >=
+    1, u rises and L = max(start, 64) must meet the cap at z(L) + 36.  With
+    no cut, or one past z0 + 40, direct terms run up to z0 + 40.
     """
-    log_a = math.log(a)  # the cut is worked out in log space: no power overflows
-    log_z0 = log_a + gamma * math.log(start)
-    if log_z0 > math.log(_EXP_UNDERFLOW):
+    if z0 > _EXP_UNDERFLOW:
         return 0.0
-    log_z_end = math.log(math.exp(log_z0) + _DIRECT_SPAN)
+    log_a = math.log(z0) - gamma * math.log(start)  # log z(n) = log_a + gamma log n
+    log_z_end = math.log(z0 + _DIRECT_SPAN)
     log_cap = math.log(_EM_DERIV_CAP)
     log_u0 = log_a + math.log(gamma)  # log u(n) = log_u0 + (gamma - 1) log n
     log_n_cap = (log_cap - log_u0) / (gamma - 1.0) if gamma < 1.0 else -math.inf
     log_cut = max(math.log(max(start, _EM_MIN_CUT)), log_n_cap)
     log_z_cut = log_a + gamma * log_cut
-    # log n at a n^gamma = a L^gamma + 36, clipped: only a cut within z_end reads it
+    # log n at z(n) = z(L) + 36, clipped: only a cut within z_end reads it
     log_far = (math.log(math.exp(min(log_z_cut, log_z_end)) + _EM_SPAN) - log_a) / gamma
     if log_z_cut <= log_z_end and log_u0 + (gamma - 1.0) * log_far <= log_cap:
         cut = max(start, _EM_MIN_CUT, math.ceil(math.exp(log_n_cap)))
-        idx, tail = np.arange(start, cut, dtype=float), _em_tail(a, gamma, cut)
+        idx = np.arange(start, cut, dtype=float)
+        tail = _em_tail(z0 * (cut / start) ** gamma, gamma, cut)
     else:
         end = math.floor(math.exp((log_z_end - log_a) / gamma))
         idx, tail = np.arange(start, end + 1, dtype=float), 0.0
-    return float(np.exp(-a * idx**gamma).sum() + tail)
+    return float(np.exp(-z0 * (idx / start) ** gamma).sum() + tail)
 
 
 def log_cf(spec, lo, hi, u):
@@ -129,10 +128,10 @@ def log_cf(spec, lo, hi, u):
     ua = np.asarray(u, dtype=float)
     series = 0.0
     if isinstance(w, PowerLawWeights):
-        t = ua * w.scale
+        t = ua * w.value(lo)  # lambda_n = lambda_lo (n / lo)^-gamma
         if hi is None:
             t_max = float(np.max(np.abs(t), initial=0.0)) / r
-            edge = (2.0 * t_max * t_max) ** (0.5 / w.gamma)
+            edge = lo * (2.0 * t_max * t_max) ** (0.5 / w.gamma)
             if not edge - lo <= _MAX_DIRECT_TERMS:
                 raise NumericalError(
                     f"log-CF power tail needs {edge - lo:.3g} direct terms, over "
@@ -141,9 +140,9 @@ def log_cf(spec, lo, hi, u):
             hi = max(lo, _EM_MIN_CUT, math.ceil(edge))
             j = np.arange(_SERIES_TERMS, 1, -1)
             coef = _zs(j * w.gamma, hi) / j
-            z = 1j * t * hi**-w.gamma / r
+            z = 1j * t * (hi / lo) ** -w.gamma / r
             series = r * z * z * reduce(lambda y, c: y * z + c, coef.tolist(), 0.0)
-        x = np.arange(lo, hi, dtype=float) ** -w.gamma
+        x = (np.arange(lo, hi, dtype=float) / lo) ** -w.gamma
     else:
         t = ua
         x = np.asarray(w.values[lo - 1 : None if hi is None else hi - 1], dtype=float)
@@ -172,16 +171,16 @@ def levy_tail_density(spec, m):
 
 def levy_density(d, x):
     """Evaluate the tail Levy density at a finite ``x > 0``; a density past the
-    float range, or a power law's a = r x sigma_M / scale below _MIN_A, raises
-    NumericalError."""
+    float range, or a power law's z0 = r x sigma_M / lambda_M below _MIN_Z0,
+    raises NumericalError."""
     x = _check_real(x, "Levy density point x", 0.0)
     w = d.spec.weights
     r = d.spec.r
     if isinstance(w, PowerLawWeights):
-        a = r * x * d.sigma_M / w.scale
-        if not a >= _MIN_A:
-            raise NumericalError(f"exponent a = {a:.3g} at x = {x!r} is below {_MIN_A:g}")
-        total = _exp_power_sum(a, w.gamma, d.M)
+        z0 = r * x * (d.sigma_M / w.value(d.M))
+        if not z0 >= _MIN_Z0:
+            raise NumericalError(f"exponent z0 = {z0:.3g} at x = {x!r} is below {_MIN_Z0:g}")
+        total = _exp_power_sum(z0, w.gamma, d.M)
     else:
         lam = np.asarray(w.values[d.M - 1 :], dtype=float)
         total = float(np.exp(-r * x * d.sigma_M / lam).sum())
@@ -198,6 +197,7 @@ def cumulant_via_integral(spec, m, k):
     the unbounded part, targeting 1e-9 absolute error.  This is the slow,
     independent route; the closed form lives in :mod:`gammasum.cumulants`.
     """
+    from scipy.integrate import quad
     k = _check_int(k, "cumulant order k", 2)
     d = levy_tail_density(spec, m)
 

@@ -76,7 +76,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy import fft
-from scipy.interpolate import PchipInterpolator
 
 from .cumulants import _tail_sd, cumulants, sigma_M
 from .edgeworth import (
@@ -210,6 +209,7 @@ def _convolve(cfg, ex, sig, sd):
     # exact values, and _head_table and the scipy.interpolate import go
     dense = _head_table(cfg, sig, sd)
     if dense.pdf is not None:
+        from scipy.interpolate import PchipInterpolator
         # a PCHIP slope is a weighted harmonic mean of secants, the
         # reciprocal of sum w / secant: a subnormal secant overflows that sum
         # to inf, and its reciprocal, slope 0, is the correct limit

@@ -807,6 +807,17 @@ class TestImportGuard:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[] False"
 
+    def test_cli_import_loads_no_optional_scipy_subpackage(self):
+        # quadrature and PCHIP are imported by the one function that calls each
+        code = (
+            "import sys, gammasum.cli; "
+            "print([m for m in ('scipy.integrate', 'scipy.interpolate', 'mpmath') "
+            "if m in sys.modules])"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_module_help_is_clean(self):
         res = subprocess.run(
             [sys.executable, "-m", "gammasum.cli", "--help"], capture_output=True, text=True

@@ -43,6 +43,11 @@ def reference_spec():
     return make_power_law_normalized(gamma=0.75, r=0.5)
 
 
+def steep_spec():
+    """gamma = 100, scale 1e300: at M = 1300, M^gamma leaves the float range."""
+    return GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=100.0, scale=1e300))
+
+
 def brute_exp_power_sum(a, gamma, start, n_terms):
     """Direct sum of exp(-a n^gamma), chunked, fsum-accumulated."""
     partials = []
@@ -55,6 +60,11 @@ def brute_exp_power_sum(a, gamma, start, n_terms):
         n += c
         remaining -= c
     return math.fsum(partials)
+
+
+def kernel_exp_power_sum(a, gamma, start):
+    """sum_{n >= start} exp(-a n^gamma) through the kernel's z0 = a start^gamma."""
+    return _exp_power_sum(a * start**gamma, gamma, start)
 
 
 def brute_log1p_sum(b, gamma, start, n_terms):
@@ -87,17 +97,17 @@ class TestExpPowerSum:
 
     @pytest.mark.parametrize("a,gamma,n_terms", CASES)
     def test_against_long_direct_sum(self, a, gamma, n_terms):
-        got = _exp_power_sum(a, gamma, 1)
+        got = kernel_exp_power_sum(a, gamma, 1)
         want = brute_exp_power_sum(a, gamma, 1, n_terms)
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_start_offset(self):
-        got = _exp_power_sum(0.05, 0.75, 37)
+        got = kernel_exp_power_sum(0.05, 0.75, 37)
         want = brute_exp_power_sum(0.05, 0.75, 37, 200_000)
         assert got == pytest.approx(want, rel=1e-11)
 
     def test_large_a_underflows_to_zero(self):
-        got = _exp_power_sum(2000.0, 0.75, 1)
+        got = kernel_exp_power_sum(2000.0, 0.75, 1)
         assert got == 0.0
 
     def test_geometric_closed_form_at_gamma_one(self):
@@ -105,7 +115,7 @@ class TestExpPowerSum:
         # first, so a route whose run time grows like 1/a fails before it stalls
         for a in (0.1, 1e-3, 1e-5, 1e-7, 1e-9):
             want = math.exp(-5.0 * a) / -math.expm1(-a)
-            assert _exp_power_sum(a, 1.0, 5) == pytest.approx(want, rel=1e-14)
+            assert kernel_exp_power_sum(a, 1.0, 5) == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("gamma", range(1, 21))
     def test_near_the_euler_maclaurin_switch(self, gamma):
@@ -118,15 +128,16 @@ class TestExpPowerSum:
                 # brute terms up to a n^gamma = a start^gamma + 50
                 end = math.ceil((start**gamma + 50.0 / a) ** (1.0 / gamma))
                 want = brute_exp_power_sum(a, gamma, start, end - start + 1)
-                assert _exp_power_sum(a, float(gamma), start) == pytest.approx(want, rel=1e-13)
+                got = kernel_exp_power_sum(a, float(gamma), start)
+                assert got == pytest.approx(want, rel=1e-13)
 
     @given(
         st.floats(1e-3, 5.0), st.floats(0.55, 2.0), st.integers(1, 50)
     )
     @settings(max_examples=30, deadline=None)
     def test_positive_and_decreasing_in_start(self, a, gamma, start):
-        v0 = _exp_power_sum(a, gamma, start)
-        v1 = _exp_power_sum(a, gamma, start + 1)
+        v0 = kernel_exp_power_sum(a, gamma, start)
+        v1 = kernel_exp_power_sum(a, gamma, start + 1)
         assert v0 >= v1 >= 0.0
 
 
@@ -283,7 +294,7 @@ class TestLevyDensity:
 
     def test_density_past_float_range_is_numerical(self):
         # gamma = 0.51: (r/x) * sum overflows at x = 1e-150, and the
-        # Euler-Maclaurin integral's a^(-1/gamma) at x = 1e-160; a list's
+        # Euler-Maclaurin integral's z^(-1/gamma) at x = 1e-160; a list's
         # r/x overflows at x = 1e-320.  None of them warns.
         power = levy_tail_density(GammaSumSpec(r=1.0, weights=PowerLawWeights(0.51, 1.0)), 5)
         listed = levy_tail_density(GammaSumSpec(r=1.0, weights=ExplicitWeights((1.0, 0.5))), 1)
@@ -294,15 +305,21 @@ class TestLevyDensity:
                     levy_density(d, x)
 
     def test_steep_tail_past_float_range(self):
-        # gamma = 100 at M = 1300: M^gamma = 2.5e311 is past the float range.
-        # At x = 1 the exponent a = r x sigma_M / scale = 1.1e-311 is too small
-        # for the powers n^gamma; at x = 1e7 the first term is e^(-1e7).
-        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(gamma=100.0, scale=1e300))
-        d = levy_tail_density(spec, 1300)
-        with pytest.raises(NumericalError, match="below"):
-            levy_density(d, 1.0)
-        assert levy_density(d, 1e7) == 0.0
-        assert _exp_power_sum(1e-300, 100.0, 10**4) == 0.0
+        # gamma = 100 at M = 1300: M^gamma = 2.5e311 is past the float range,
+        # but the series reads only z0 = x sqrt(r s_2) and the ratios n / M.
+        # At n = 1700 the exponent z0 (n / M)^100 is 4e11 z0: 400 terms suffice.
+        spec, m = steep_spec(), 1300
+        d = levy_tail_density(spec, m)
+        z1 = math.sqrt(spec.r * tail_power_sum(spec, m, 2)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (0.5, 1.0):
+                terms = (math.exp(-x * z1 * (n / m) ** 100.0) for n in range(m, m + 400))
+                want = spec.r / x * math.fsum(terms)
+                assert levy_density(d, x) == pytest.approx(want, rel=1e-13)
+            assert levy_density(d, 1e7) == 0.0  # the first term is e^(-1e7)
+            with pytest.raises(NumericalError, match="below"):
+                levy_density(d, 1e-306)  # z0 = 2.6e-306 is below the floor
 
     def test_rapid_decay_at_large_x(self):
         d = levy_tail_density(reference_spec(), 10)
@@ -365,9 +382,16 @@ class TestCumulantViaIntegral:
         with pytest.raises(DomainError):
             cumulant_via_integral(reference_spec(), 5, 1)
 
+    def test_steep_tail_third_cumulant(self):
+        spec = steep_spec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cumulant_via_integral(spec, 1300, 3)
+        assert got == pytest.approx(cumulants(spec, 1300, 3).kappa_k(3), rel=1e-12)
+
     def test_inaccurate_quadrature_is_numerical(self, monkeypatch):
         # quad reporting an error estimate above 1e-9 must not pass silently
-        monkeypatch.setattr("gammasum.levy.quad", lambda *a, **kw: (0.5, 1e-6))
+        monkeypatch.setattr("scipy.integrate.quad", lambda *a, **kw: (0.5, 1e-6))
         with pytest.raises(NumericalError, match="quadrature reached only 2.000e-06"):
             cumulant_via_integral(reference_spec(), 5, 2)
 
@@ -414,6 +438,20 @@ class TestReLogCf:
             sig = mpmath.sqrt(mp_zeta(6.0, m) / mpmath.mpf(spec.r))
             want = -mp_log_cf(spec, m, None, u / sig).real
         assert re_log_cf(spec, m, u) == pytest.approx(want, rel=1e-13)
+
+    def test_steep_tail_against_ratio_sum(self):
+        # A_M(u) = (r/2) sum_{n >= M} log1p(u^2 (n / M)^(-2 gamma) / (r s_2));
+        # at gamma = 100, M = 1300 the powers of M leave the float range and
+        # 400 terms reach (1700 / 1300)^-200 = 5e-24 of the first
+        spec, m = steep_spec(), 1300
+        s2 = tail_power_sum(spec, m, 2)[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for u in (0.1, 1.0):
+                b = u * u / (spec.r * s2)
+                terms = (math.log1p(b * (n / m) ** -200.0) for n in range(m, m + 400))
+                want = 0.5 * spec.r * math.fsum(terms)
+                assert re_log_cf(spec, m, u) == pytest.approx(want, rel=1e-13)
 
     def test_increasing_in_abs_u(self):
         spec = reference_spec()
