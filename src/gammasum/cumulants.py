@@ -67,25 +67,35 @@ class TailCumulants:
         return len(self.kappa) + 1
 
 
-def _tail_sd(spec: GammaSumSpec, m: int) -> float:
+def _sd(spec: GammaSumSpec, m: int, c: float, s2: float) -> float:
     """c sqrt(s_2 / r) = sqrt((1/r) sum_{n>=M} lambda_n^2), which is 0.0 for
     an empty tail or one whose lambda_M underflows."""
-    c, s2 = tail_power_sum(spec, m, 2)
     sd = c * math.sqrt(s2 / spec.r)
     if sd == math.inf:
         raise NumericalError(f"tail variance (1/r) S_2(M) overflows at M = {m}")
     return sd
 
 
-def sigma_M(spec: GammaSumSpec, m: int) -> float:
-    """Standard deviation of Y_M: sqrt((1/r) sum_{n>=M} lambda_n^2)."""
-    sig = _tail_sd(spec, m)
+def _tail_sd(spec: GammaSumSpec, m: int) -> float:
+    """``_sd`` from a read of s_2 alone."""
+    return _sd(spec, m, *tail_power_sum(spec, m, 2))
+
+
+def _read(spec: GammaSumSpec, m: int, k) -> tuple:
+    """(sigma_M, s) from one read of the orders ``k``, which start at 2."""
+    c, s = tail_power_sum(spec, m, k)
+    sig = _sd(spec, m, c, float(s[0]))
     if sig == 0.0:
         raise DegenerateTailError(
             f"weight tail is empty or underflows at M = {m}; sigma_M = 0 and "
             f"the normalized tail is undefined"
         )
-    return sig
+    return sig, s
+
+
+def sigma_M(spec: GammaSumSpec, m: int) -> float:
+    """Standard deviation of Y_M: sqrt((1/r) sum_{n>=M} lambda_n^2)."""
+    return _read(spec, m, (2,))[0]
 
 
 def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
@@ -93,14 +103,14 @@ def cumulants(spec: GammaSumSpec, m: int, K: int) -> TailCumulants:
 
     K is capped at MAX_CUMULANT_ORDER; kappa_{2,M} = 1! (s_2 / s_2) s_2^0.0
     r^0.0 is exactly 1 for every finite s_2.  A cumulant out of the float
-    range raises NumericalError.
+    range raises NumericalError.  sigma_M comes from the same read of
+    s_2..s_K.
     """
     m = _check_m(m)
     K = _check_int(K, "cumulant order K", 3, MAX_CUMULANT_ORDER)
     r = spec.r
-    sig = sigma_M(spec, m)
     k = np.arange(2, K + 1)
-    s = tail_power_sum(spec, m, k)[1]
+    sig, s = _read(spec, m, k)
     # s_k / s_2 <= 1 and s_2 >= 1, so neither factor overflows; r^(1 - k/2)
     # may, and the first kappa_k out of range is named
     with np.errstate(over="ignore"):
@@ -118,8 +128,7 @@ def berry_esseen_bound(spec: GammaSumSpec, m: int) -> float:
 
 def be_condition_ratio(spec: GammaSumSpec, m: int) -> float:
     """S_3(M) / S_2(M)^{3/2}; asymptotic normality needs this to tend to 0."""
-    sigma_M(spec, m)  # an empty tail has no ratio
-    s2, s3 = tail_power_sum(spec, m, (2, 3))[1].tolist()
+    s2, s3 = _read(spec, m, (2, 3))[1].tolist()  # an empty tail has no ratio
     return s3 / s2**1.5
 
 

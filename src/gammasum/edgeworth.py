@@ -15,13 +15,16 @@ density phi(x) (1 + sum c(k) H_{zeta+1}(x)).
 
 Hermite polynomials are the probabilists' family, H_{k+1} = x H_k - k H_{k-1}.
 The expansion adds up its term coefficients by Hermite degree once, and both
-sums are evaluated by ``numpy.polynomial.hermite_e.hermeval``.
+sums are evaluated by ``numpy.polynomial.hermite_e.hermeval``.  The index set
+of each order is enumerated once, on first use, into a table from which every
+expansion of that order forms its coefficients in one array product.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermeval
@@ -78,10 +81,9 @@ class EdgeworthExpansion:
     coef: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coef = np.zeros(1 + max((deg for _, _, deg in self.terms), default=0))
-        for _, c, deg in self.terms:
-            coef[deg] += c
-        object.__setattr__(self, "coef", coef)
+        deg = np.array([t[2] for t in self.terms], dtype=int)
+        c = np.array([t[1] for t in self.terms], dtype=float)
+        object.__setattr__(self, "coef", np.bincount(deg, weights=c, minlength=1))
 
 
 def enumerate_eta(n_order):
@@ -115,23 +117,32 @@ def hermite(k, x):
     return float(out) if xa.ndim == 0 else out
 
 
+@lru_cache(maxsize=None)
+def _index_table(n_order):
+    """(index vectors, exponents K, prod_m k_m!, Hermite degrees, m!) of order
+    ``n_order``: row i of K is the i-th vector's (k_3, ..., k_N)."""
+    etas = tuple(enumerate_eta(n_order))
+    K = np.array([iv.k for iv in etas], dtype=float).reshape(len(etas), n_order - 2)
+    kfact = np.array([math.prod(map(math.factorial, iv.k)) for iv in etas], dtype=float)
+    mfact = np.array([math.factorial(m) for m in range(3, n_order + 1)], dtype=float)
+    return etas, K, kfact, tuple(iv.zeta_index for iv in etas), mfact
+
+
 def build_expansion(tc, n_order):
-    """Assemble the order-``n_order`` expansion from tail cumulants ``tc``."""
-    etas = enumerate_eta(n_order)
+    """Assemble the order-``n_order`` expansion from tail cumulants ``tc``:
+    c(k) = prod_m base_m^{k_m} / prod_m k_m!, base_m = kappa_m / m!."""
+    n_order = _check_int(n_order, "expansion order", 2, MAX_EXPANSION_ORDER)
+    etas, K, kfact, degs, mfact = _index_table(n_order)
     if tc.max_order < n_order:
         raise DomainError(
             f"order-{n_order} expansion needs cumulants through order "
             f"{n_order}, have {tc.max_order}"
         )
-    terms = []
-    for iv in etas:
-        coeff = 1.0
-        for m, km in zip(range(3, n_order + 1), iv.k):
-            if km:
-                coeff *= (tc.kappa_k(m) / math.factorial(m)) ** km
-                coeff /= math.factorial(km)
-        terms.append((iv, coeff, iv.zeta_index))
-    return EdgeworthExpansion(N=int(n_order), terms=tuple(terms), cumulants=tc)
+    base = np.array(tc.kappa[1 : n_order - 1], dtype=float) / mfact
+    with np.errstate(over="ignore"):  # downstream finiteness checks report it
+        coeffs = np.prod(base**K, axis=1) / kfact
+    terms = tuple(zip(etas, coeffs.tolist(), degs))
+    return EdgeworthExpansion(N=n_order, terms=terms, cumulants=tc)
 
 
 def _phi_hermeval(x, coef):

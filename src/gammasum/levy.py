@@ -21,6 +21,16 @@ integral_0^inf (1 - cos ux) nu_M(x) dx.  Power-law weights enter as lambda_lo
 (n / lo)^-gamma, as a list's do: no power of n leaves the float range.  nu_M's
 n-series sum exp(-z0 (n / M)^gamma), z0 = x sqrt(r s_2), takes one route for
 every gamma: direct terms below a cut, then Euler-Maclaurin (``_exp_power_sum``).
+The density is evaluated on an array of points at once (``_density``);
+``levy_density`` is its one-point call.
+
+``cumulant_via_integral`` takes the moment integral by one fixed exp-sinh rule
+(Takahasi & Mori 1974, Publ. RIMS Kyoto Univ. 9:721): 181 nodes x = exp((pi/2)
+sinh t), t = -4.5..4.5 in steps of h = 0.05.  Its h = 0.1 half-sum and its end
+terms gate it: NumericalError when they show an unresolved integral.  Where
+the gate passes, kappa_3 and kappa_4 were within 9e-14 relative of the closed
+form over 3000 power laws with gamma 0.55-6, r 0.1-10 and M 1-1000, and
+within 3e-14 over 6000 draws from the benchmark's weight specs.
 """
 
 from __future__ import annotations
@@ -63,14 +73,23 @@ _DIRECT_SPAN = 40.0  # terms past z0 + 40 add under e^-40 / cap of the first
 # tail underflows and direct summation is exact
 _EXP_UNDERFLOW = 745.0
 _MIN_Z0 = 1e-305  # each (n / start)^gamma formed is below 785 / z0: a finite float
+# most terms one block of a density's flat exp holds
+_SUM_BLOCK = 1 << 16
+
+# cumulant_via_integral's exp-sinh rule: nodes x = exp((pi/2) sinh t) and
+# weights h x (pi/2) cosh t at t = -4.5, -4.45, ..., 4.5
+_ES_T = np.linspace(-4.5, 4.5, 181)
+_ES_X = np.exp(0.5 * math.pi * np.sinh(_ES_T))
+_ES_W = 0.05 * _ES_X * 0.5 * math.pi * np.cosh(_ES_T)
 
 
 def _em_tail(z, gamma, cut):
-    """sum_{n >= cut} exp(-z (n / cut)^gamma) by Euler-Maclaurin; inf past the float range."""
+    """sum_{n >= cut} exp(-z (n / cut)^gamma) by Euler-Maclaurin at each z of
+    an array; inf past the float range."""
     s = 1.0 / gamma
     with np.errstate(over="ignore"):
         integral = s * cut * np.power(z, -s) * math.gamma(s) * special.gammaincc(s, z)
-    g = math.exp(-z)
+    g = np.exp(-z)
     u1 = gamma * z / cut
     u2 = u1 * (gamma - 1.0) / cut
     u3 = u2 * (gamma - 2.0) / cut
@@ -79,34 +98,50 @@ def _em_tail(z, gamma, cut):
 
 
 def _exp_power_sum(z0, gamma, start):
-    """sum_{n >= start} exp(-z0 (n / start)^gamma) for z0 >= _MIN_Z0, to about 1e-13 relative.
+    """sum_{n >= start} exp(-z0 (n / start)^gamma) at each z0 >= _MIN_Z0 of an
+    array, to about 1e-13 relative.
 
     One route for every gamma: direct terms below a cut L, ``_em_tail`` from
     L on.  With z(n) = z0 (n / start)^gamma, the log-derivative u(n) = gamma
     z(n) / n must meet the cap where the tail has mass.  For gamma < 1, u
     falls and L = max(start, 64, the n where u reaches the cap); for gamma >=
     1, u rises and L = max(start, 64) must meet the cap at z(L) + 36.  With
-    no cut, or one past z0 + 40, direct terms run up to z0 + 40.
+    no cut, or one past z0 + 40, direct terms run up to z0 + 40.  The direct
+    terms of all points are laid end to end and summed point by point with
+    ``np.add.reduceat``, _SUM_BLOCK terms at a time.
     """
-    if z0 > _EXP_UNDERFLOW:
-        return 0.0
-    log_a = math.log(z0) - gamma * math.log(start)  # log z(n) = log_a + gamma log n
-    log_z_end = math.log(z0 + _DIRECT_SPAN)
+    total = np.zeros(z0.shape)
+    live = np.flatnonzero(z0 <= _EXP_UNDERFLOW)
+    z = z0[live]
+    log_a = np.log(z) - gamma * math.log(start)  # log z(n) = log_a + gamma log n
+    log_z_end = np.log(z + _DIRECT_SPAN)
     log_cap = math.log(_EM_DERIV_CAP)
     log_u0 = log_a + math.log(gamma)  # log u(n) = log_u0 + (gamma - 1) log n
-    log_n_cap = (log_cap - log_u0) / (gamma - 1.0) if gamma < 1.0 else -math.inf
-    log_cut = max(math.log(max(start, _EM_MIN_CUT)), log_n_cap)
+    log_n_cap = (log_cap - log_u0) / (gamma - 1.0) if gamma < 1.0 else np.full(z.shape, -np.inf)
+    log_cut = np.maximum(math.log(max(start, _EM_MIN_CUT)), log_n_cap)
     log_z_cut = log_a + gamma * log_cut
     # log n at z(n) = z(L) + 36, clipped: only a cut within z_end reads it
-    log_far = (math.log(math.exp(min(log_z_cut, log_z_end)) + _EM_SPAN) - log_a) / gamma
-    if log_z_cut <= log_z_end and log_u0 + (gamma - 1.0) * log_far <= log_cap:
-        cut = max(start, _EM_MIN_CUT, math.ceil(math.exp(log_n_cap)))
-        idx = np.arange(start, cut, dtype=float)
-        tail = _em_tail(z0 * (cut / start) ** gamma, gamma, cut)
-    else:
-        end = math.floor(math.exp((log_z_end - log_a) / gamma))
-        idx, tail = np.arange(start, end + 1, dtype=float), 0.0
-    return float(np.exp(-z0 * (idx / start) ** gamma).sum() + tail)
+    log_far = (np.log(np.exp(np.minimum(log_z_cut, log_z_end)) + _EM_SPAN) - log_a) / gamma
+    em = (log_z_cut <= log_z_end) & (log_u0 + (gamma - 1.0) * log_far <= log_cap)
+    with np.errstate(over="ignore"):  # each point reads only its own branch
+        cut = np.maximum(max(start, _EM_MIN_CUT), np.ceil(np.exp(log_n_cap)))
+        end = np.floor(np.exp((log_z_end - log_a) / gamma)) + 1.0
+    stop = np.where(em, cut, end)
+    total[live[em]] = _em_tail(z[em] * (cut[em] / start) ** gamma, gamma, cut[em])
+    # direct terms n = start .. stop - 1 of the points that have any
+    has = np.flatnonzero(stop > start)
+    zs, first = z[has], np.zeros(has.size + 1, dtype=np.int64)
+    np.cumsum(stop[has].astype(np.int64) - start, out=first[1:])
+    for p0 in range(0, int(first[-1]), _SUM_BLOCK):
+        p1 = min(p0 + _SUM_BLOCK, int(first[-1]))
+        lo = int(np.searchsorted(first, p0, "right")) - 1
+        hi = int(np.searchsorted(first, p1, "left"))
+        seg = np.maximum(first[lo:hi], p0) - p0  # where each point starts in the block
+        point = np.repeat(np.arange(lo, hi), np.diff(np.append(seg, p1 - p0)))
+        n = np.arange(p0, p1) - first[point] + start
+        terms = np.exp(-zs[point] * (n / start) ** gamma)
+        total[live[has[lo:hi]]] += np.add.reduceat(terms, seg)
+    return total
 
 
 def log_cf(spec, lo, hi, u):
@@ -145,7 +180,7 @@ def log_cf(spec, lo, hi, u):
         x = (np.arange(lo, hi, dtype=float) / lo) ** -w.gamma
     else:
         t = ua
-        x = np.asarray(w.values[lo - 1 : None if hi is None else hi - 1], dtype=float)
+        x = w.array[lo - 1 : None if hi is None else hi - 1]
     wn = t[..., None] * x / r
     # log1p(a^2) / 2 = log a + log1p(a^-2) / 2 for a >= 1: a^2 may overflow
     a = np.maximum(np.abs(wn), 1.0)
@@ -169,56 +204,79 @@ def levy_tail_density(spec, m):
     return LevyTailDensity(spec=spec, M=m, sigma_M=sigma_M(spec, m))
 
 
+def _density(d, x):
+    """nu_M at each point of the array ``x`` > 0: one flat exp per block of
+    points, NumericalError for a density past the float range or a power
+    law's z0 = r x sigma_M / lambda_M below _MIN_Z0."""
+    w = d.spec.weights
+    r = d.spec.r
+    if isinstance(w, PowerLawWeights):
+        z0 = r * x * (d.sigma_M / w.value(d.M))
+        low = z0 < _MIN_Z0
+        if low.any():
+            i = np.argmax(low)
+            raise NumericalError(
+                f"exponent z0 = {z0[i]:.3g} at x = {float(x[i])!r} is below {_MIN_Z0:g}"
+            )
+        total = _exp_power_sum(z0, w.gamma, d.M)
+    else:
+        lam = w.array[d.M - 1 :]
+        step = max(1, _SUM_BLOCK // lam.size)
+        total = np.concatenate(
+            [
+                np.exp((-r * x[i : i + step] * d.sigma_M)[:, None] / lam).sum(axis=1)
+                for i in range(0, x.size, step)
+            ]
+        )
+    with np.errstate(over="ignore"):
+        density = (r / x) * total
+    over = ~(density < math.inf)
+    if over.any():
+        raise NumericalError(f"Levy density at x = {float(x[np.argmax(over)])!r} overflows")
+    return density
+
+
 def levy_density(d, x):
     """Evaluate the tail Levy density at a finite ``x > 0``; a density past the
     float range, or a power law's z0 = r x sigma_M / lambda_M below _MIN_Z0,
     raises NumericalError."""
     x = _check_real(x, "Levy density point x", 0.0)
-    w = d.spec.weights
-    r = d.spec.r
-    if isinstance(w, PowerLawWeights):
-        z0 = r * x * (d.sigma_M / w.value(d.M))
-        if not z0 >= _MIN_Z0:
-            raise NumericalError(f"exponent z0 = {z0:.3g} at x = {x!r} is below {_MIN_Z0:g}")
-        total = _exp_power_sum(z0, w.gamma, d.M)
-    else:
-        lam = np.asarray(w.values[d.M - 1 :], dtype=float)
-        total = float(np.exp(-r * x * d.sigma_M / lam).sum())
-    density = (r / x) * total
-    if not density < math.inf:
-        raise NumericalError(f"Levy density at x = {x!r} overflows")
-    return density
+    return float(_density(d, np.array([x]))[0])
 
 
 def cumulant_via_integral(spec, m, k):
-    """kappa_{k,M} as the k-th moment of the tail Levy density.
+    """kappa_{k,M} as the k-th moment of the tail Levy density, by one fixed
+    exp-sinh rule.
 
-    Adaptive quadrature split at x = 1 with the substitution t = e^{-x} on
-    the unbounded part, targeting 1e-9 absolute error.  This is the slow,
-    independent route; the closed form lives in :mod:`gammasum.cumulants`.
+    The rule (Takahasi & Mori 1974) takes x = exp((pi/2) sinh t) at the 181
+    points t = -4.5, -4.45, ..., 4.5 (h = 0.05) with weights h x (pi/2) cosh t,
+    so it spans x from 2e-31 to 5e30.  The same sum over every other point is
+    the h = 0.1 rule; NumericalError is raised when the two differ by more
+    than 1e-5 of the result, when either end term exceeds 1e-13 of it (the
+    mass the rule leaves out is about that term), or when it is not finite.
+
+    Measured against the closed form (:mod:`gammasum.cumulants`) on 3000
+    power laws with gamma 0.55-6, r 0.1-10 and M 1-1000: k = 2, 3, 4 within
+    9e-14 relative, k = 5 within 5e-13 and k = 6 within 2.1e-12.  The end
+    gate stops kappa_2 for gamma below about 0.63, where x^2 nu_M(x) falls
+    too slowly towards x = 0.  The step gate stops some k >= 6 at r near 0.1
+    and most k from about 11 on, where the h = 0.1 rule no longer resolves
+    the integrand.
     """
-    from scipy.integrate import quad
     k = _check_int(k, "cumulant order k", 2)
     d = levy_tail_density(spec, m)
-
-    def integrand(x):
-        return x**k * levy_density(d, x)
-
-    near, err_near = quad(integrand, 0.0, 1.0, epsabs=1e-11, epsrel=1e-11, limit=400)
-    far, err_far = quad(
-        lambda t: integrand(-math.log(t)) / t,
-        0.0,
-        math.exp(-1.0),
-        epsabs=1e-11,
-        epsrel=1e-11,
-        limit=400,
-    )
-    achieved = err_near + err_far
-    if not math.isfinite(achieved) or achieved > 1e-9:
+    f = _density(d, _ES_X) * _ES_W
+    live = f > 0.0  # x^k may overflow only where the density underflows
+    with np.errstate(over="ignore"):  # an overflow is judged by the gate below
+        f[live] *= _ES_X[live] ** k
+    fine, coarse = f.sum(), 2.0 * f[::2].sum()
+    ends = max(f[0], f[-1])
+    if not (abs(fine - coarse) <= 1e-5 * fine and ends <= 1e-13 * fine):
         raise NumericalError(
-            f"cumulant quadrature reached only {achieved:.3e} absolute error"
+            f"cumulant rule unresolved: h = 0.05 gives {fine:.6g}, h = 0.1 gives "
+            f"{coarse:.6g}, end terms {f[0]:.3g} and {f[-1]:.3g}"
         )
-    return near + far
+    return float(fine)
 
 
 def re_log_cf(spec, m, u):

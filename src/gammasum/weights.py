@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Union
 
 import numpy as np
@@ -141,9 +141,14 @@ class PowerLawWeights:
 
 @dataclass(frozen=True)
 class ExplicitWeights:
-    """Finite list lambda_1 >= lambda_2 >= ... > 0; zero beyond the list."""
+    """Finite list lambda_1 >= lambda_2 >= ... > 0; zero beyond the list.
+
+    ``array`` holds the values once as a read-only float64 array, which every
+    array computation slices.
+    """
 
     values: tuple
+    array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vals = tuple(_check_real(v, "explicit weight", 0.0) for v in self.values)
@@ -152,6 +157,9 @@ class ExplicitWeights:
             raise DomainError("explicit weight list must be non-empty")
         if any(a < b for a, b in zip(vals, vals[1:])):
             raise DomainError("explicit weights must be non-increasing")
+        arr = np.array(vals, dtype=np.float64)
+        arr.flags.writeable = False
+        object.__setattr__(self, "array", arr)
 
     def value(self, n):
         """lambda_n for one 1-based index n; 0 beyond the list."""
@@ -159,12 +167,12 @@ class ExplicitWeights:
         return self.values[n - 1] if n <= len(self.values) else 0.0
 
     def head(self, m: int) -> np.ndarray:
-        return np.asarray(self.values[: m - 1], dtype=np.float64)
+        return self.array[: m - 1]
 
     def tail_power_sum(self, m: int, k) -> tuple:
         """(lambda_M, sum of (lambda_n / lambda_M)^k from index m on); an array
         of k gives an array of sums, from one array power and an fsum per k."""
-        tail = np.asarray(self.values[m - 1 :], dtype=float)
+        tail = self.array[m - 1 :]
         c = float(tail[0]) if tail.size else 0.0
         s = [math.fsum(row) for row in (tail / c) ** np.reshape(k, (-1, 1))]
         return c, (np.array(s) if np.ndim(k) else s[0])

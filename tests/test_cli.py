@@ -818,6 +818,18 @@ class TestImportGuard:
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]"
 
+    def test_levy_cumulant_loads_no_quadrature_package(self):
+        # the Levy route's fixed exp-sinh rule needs no adaptive quadrature
+        code = (
+            "import sys, gammasum; "
+            "spec = gammasum.make_power_law_normalized(0.75, 0.5); "
+            "gammasum.cumulant_via_integral(spec, 5, 3); "
+            "print('scipy.integrate' in sys.modules)"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
     def test_module_help_is_clean(self):
         res = subprocess.run(
             [sys.executable, "-m", "gammasum.cli", "--help"], capture_output=True, text=True

@@ -203,7 +203,7 @@ class TestCumulants:
 
 class TestPowerSumReads:
     def test_one_read_of_s2_to_sK(self, monkeypatch):
-        # sigma_M reads s_2 on its own; the ratios then read s_2..s_K at once
+        # sigma_M comes from the same read of s_2..s_K as the ratios
         seen = []
 
         def counting(spec, m, k):
@@ -214,10 +214,13 @@ class TestPowerSumReads:
         for K in (3, 20):
             seen.clear()
             cumulants(reference_spec(), 5, K)
-            assert seen == [2, tuple(range(2, K + 1))]
+            assert seen == [tuple(range(2, K + 1))]
         seen.clear()
         be_condition_ratio(reference_spec(), 5)
-        assert seen == [2, (2, 3)]
+        assert seen == [(2, 3)]
+        seen.clear()
+        berry_esseen_bound(reference_spec(), 5)
+        assert seen == [(2, 3)]
 
     def test_first_overflowing_order_is_named(self):
         # r = 1e-300: kappa_k carries r^(1 - k/2), which first overflows at k = 5

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import gammasum.levy
 from gammasum.cumulants import cumulants, sigma_M
 from gammasum.errors import DomainError, NumericalError
 from gammasum.levy import (
@@ -37,6 +38,13 @@ from gammasum.weights import (
     make_power_law_normalized,
     tail_power_sum,
 )
+
+
+def sweep_like_weights(n=2000, seed=3):
+    """n decreasing weights n^-g times a random factor in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    idx = np.arange(1, n + 1, dtype=float)
+    return np.sort(idx ** -rng.uniform(0.6, 1.0) * rng.uniform(0.5, 1.5, n))[::-1].tolist()
 
 
 def reference_spec():
@@ -63,8 +71,9 @@ def brute_exp_power_sum(a, gamma, start, n_terms):
 
 
 def kernel_exp_power_sum(a, gamma, start):
-    """sum_{n >= start} exp(-a n^gamma) through the kernel's z0 = a start^gamma."""
-    return _exp_power_sum(a * start**gamma, gamma, start)
+    """sum_{n >= start} exp(-a n^gamma) through the kernel's array route at
+    the one point z0 = a start^gamma."""
+    return float(_exp_power_sum(np.array([a * start**gamma]), gamma, start)[0])
 
 
 def brute_log1p_sum(b, gamma, start, n_terms):
@@ -105,6 +114,15 @@ class TestExpPowerSum:
         got = kernel_exp_power_sum(0.05, 0.75, 37)
         want = brute_exp_power_sum(0.05, 0.75, 37, 200_000)
         assert got == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("gamma,start", [(0.6, 1), (1.0, 5), (3.0, 200)])
+    def test_many_points_match_one_at_a_time(self, gamma, start):
+        # 400 points hold 69k-536k direct terms together, so blocks of 2^16
+        # terms end inside a point's run of terms
+        z0 = np.geomspace(1e-3, 700.0, 400)
+        got = _exp_power_sum(z0, gamma, start)
+        one = [_exp_power_sum(z0[i : i + 1], gamma, start)[0] for i in range(z0.size)]
+        np.testing.assert_allclose(got, one, rtol=1e-15, atol=0.0)
 
     def test_large_a_underflows_to_zero(self):
         got = kernel_exp_power_sum(2000.0, 0.75, 1)
@@ -390,10 +408,60 @@ class TestCumulantViaIntegral:
         assert got == pytest.approx(cumulants(spec, 1300, 3).kappa_k(3), rel=1e-12)
 
     def test_inaccurate_quadrature_is_numerical(self, monkeypatch):
-        # quad reporting an error estimate above 1e-9 must not pass silently
-        monkeypatch.setattr("scipy.integrate.quad", lambda *a, **kw: (0.5, 1e-6))
-        with pytest.raises(NumericalError, match="quadrature reached only 2.000e-06"):
+        # an error of 1e-3 planted on every other node moves the h = 0.05 sum
+        # away from the h = 0.1 sum, which never reads those nodes
+        density = gammasum.levy._density
+
+        def planted(d, x):
+            out = density(d, x)
+            out[1::2] *= 1.001
+            return out
+
+        monkeypatch.setattr(gammasum.levy, "_density", planted)
+        with pytest.raises(NumericalError, match="cumulant rule unresolved"):
             cumulant_via_integral(reference_spec(), 5, 2)
+
+    def test_mass_below_first_node_is_numerical(self):
+        # gamma = 0.55, k = 2: x^2 nu(x) ~ x^(2 - 1 - 1/0.55) near 0, so the
+        # rule's first node at x = 2e-31 leaves out about 2e-6 of kappa_2
+        spec = GammaSumSpec(r=1.0, weights=PowerLawWeights(0.55, 1.0))
+        with pytest.raises(NumericalError, match="end terms"):
+            cumulant_via_integral(spec, 3, 2)
+        assert cumulant_via_integral(spec, 3, 3) == pytest.approx(
+            cumulants(spec, 3, 3).kappa_k(3), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("gamma,r,m,k", [(1.0, 0.1, 1, 4), (2.0, 0.1, 3, 3)])
+    def test_cases_adaptive_quadrature_failed(self, gamma, r, m, k):
+        # adaptive quadrature raised NumericalError here, after warning
+        spec = GammaSumSpec(r=r, weights=PowerLawWeights(gamma, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cumulant_via_integral(spec, m, k)
+        assert got == pytest.approx(cumulants(spec, m, k).kappa_k(k), rel=1e-12)
+
+    def test_domain_against_closed_form(self):
+        # the domain the docstring states, at k = 3, 4
+        lists = [
+            GammaSumSpec(r=r, weights=ExplicitWeights(tuple(sweep_like_weights())))
+            for r in (0.5, 2.0)
+        ]
+        lists.append(GammaSumSpec(r=0.5, weights=ExplicitWeights((1.0, 0.5, 0.25, 0.125))))
+        cases = [(spec, m) for spec in lists for m in (1, 3)]
+        cases += [
+            (GammaSumSpec(r=r, weights=PowerLawWeights(gamma, 1.0)), m)
+            for gamma in (0.55, 0.6, 1.0, 2.0, 6.0)
+            for r in (0.1, 1.0, 10.0)
+            for m in (1, 3, 50, 1000)
+        ]
+        begin = time.perf_counter()
+        worst = 0.0
+        for spec, m in cases:
+            tc = cumulants(spec, m, 4)
+            for k in (3, 4):
+                worst = max(worst, abs(cumulant_via_integral(spec, m, k) / tc.kappa_k(k) - 1.0))
+        assert worst <= 1e-12
+        assert time.perf_counter() - begin < 2.0
 
 
 class TestReLogCf:

@@ -124,6 +124,16 @@ class TestExplicitWeights:
         with pytest.raises(DomainError):
             ExplicitWeights(values=())
 
+    def test_values_held_once_as_read_only_array(self):
+        w = ExplicitWeights((1.0, 0.5, 0.25))
+        assert w.array.dtype == np.float64 and w.array.tolist() == [1.0, 0.5, 0.25]
+        assert not w.array.flags.writeable
+        assert not w.head(3).flags.writeable  # a view, not a copy
+        # the array is derived: equality, hashing and repr read the tuple
+        other = ExplicitWeights((1, 0.5, 0.25))
+        assert w == other and hash(w) == hash(other)
+        assert repr(w) == "ExplicitWeights(values=(1.0, 0.5, 0.25))"
+
     def test_tail_beyond_list_is_zero(self):
         spec = GammaSumSpec(r=1.0, weights=ExplicitWeights(values=(1.0,)))
         assert tail_power_sum(spec, 2, 2) == (0.0, 0.0)

@@ -13,7 +13,9 @@ one after the other, the side that runs first alternating with the seed.
 
 The result goes to BENCH_<pr>.json at the repository root: a description,
 the machine, a summary per workload and metric (q1 / median / q3 of each
-side, the pair count, and for items_per_s how many pairs the change won),
+side, the pair count, and for items_per_s how many pairs the change won
+and the change's quartile gap over its median next to the gate's allowance,
+bound * parent median / change median),
 the traced per-layer metrics, and every run's result line.  The copies are
 removed afterwards.
 """
@@ -31,6 +33,11 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # keys of a run's context line that describe the run, not the machine
 RUN_KEYS = ("workload", "seed", "seconds", "trace")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as _fh:
+    # the relative bound the benchmark's gate puts on items_per_s
+    ITEMS_BOUND = next(
+        m["bound"] for m in json.load(_fh)["end_to_end"] if m["name"] == "items_per_s"
+    )
 
 
 def git(*args, **kw):
@@ -96,6 +103,14 @@ def summarize(runs, workload):
         }
         if name == "items_per_s":  # higher is better
             out[name]["change_wins"] = sum(c > p for p, c in zip(parent, change))
+            # the gate allows the change to fall bound * parent median below
+            # the parent; as a share of the change's median, that is the
+            # room its own quartile gap has to fit in
+            q1, med, q3 = out[name]["change_q1_median_q3"]
+            out[name]["change_gap_over_median"] = (q3 - q1) / med
+            out[name]["allowance_over_change_median"] = (
+                ITEMS_BOUND * out[name]["parent_q1_median_q3"][1] / med
+            )
     out["correct_all"] = all(p[side]["correct"] for p in pairs for side in p)
     return out
 
